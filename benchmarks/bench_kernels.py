@@ -19,46 +19,12 @@ try:
 except ImportError:
     _kernels = None
 
-BOOL2_OPS = [((0, 1, 1, 0), 2), ((0, 0, 0, 1), 2), ((1, 0), 1)]
-
-
 def all_tables(k, n):
     return [tuple(v) for v in product(range(k), repeat=k**n)]
 
 
 def random_tables(rng, k, n, count):
     return [tuple(rng.randrange(k) for _ in range(k**n)) for _ in range(count)]
-
-
-def closure_size(mod, ops, k, n, limit=100_000):
-    """Minimal clone closure driving mod.compose; returns the member count."""
-    size = k**n
-    tables = []
-    index = {}
-    for i in range(n):
-        inner = k ** (n - 1 - i)
-        values = tuple((j // inner) % k for j in range(size))
-        if values not in index:
-            index[values] = len(tables)
-            tables.append(values)
-    frontier = 0
-    while True:
-        known = len(tables)
-        grew = False
-        for op_table, arity in ops:
-            for args in product(range(known), repeat=arity):
-                if all(a < frontier for a in args):
-                    continue
-                values = mod.compose(op_table, arity, [tables[a] for a in args], k, size)
-                if values not in index:
-                    if len(tables) >= limit:
-                        raise RuntimeError("closure larger than the benchmark limit")
-                    index[values] = len(tables)
-                    tables.append(values)
-                    grew = True
-        frontier = known
-        if not grew:
-            return len(tables)
 
 
 def workloads(quick):
@@ -85,15 +51,11 @@ def workloads(quick):
         for t in t24:
             mod.cp3_counts(t, 2, 4)
 
-    def clone_bool2(mod):
-        assert closure_size(mod, BOOL2_OPS, 2, 3) == 256
-
     return [
         ("essential_mask, 768 tables", essential_all),
         ("cp3_counts, k=2 n=3, 256 tables", cp3_k2n3),
         (f"cp3_counts, k=3 n=2, {len(t32)} tables", cp3_k3n2),
         (f"cp3_counts, k=2 n=4, {len(t24)} tables", cp3_k2n4),
-        ("clone closure of bool2, n=3 (compose)", clone_bool2),
     ]
 
 

@@ -10,6 +10,7 @@ of an algebra.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Optional
@@ -119,8 +120,10 @@ class CloneLevel:
 
     `members` lists distinct tables in discovery order: the projections
     first, then breadth-first by composition depth with ties broken by
-    operation order and then argument order. `witnesses[i]` is a term
-    inducing `members[i]`.
+    operation order and then by the lexicographic argument tuple.
+    `witnesses[i]` is a term inducing `members[i]`. The order is the same
+    whether the closure ran to its fixpoint or stopped early because it
+    held every function.
     """
 
     arity: int
@@ -137,50 +140,116 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     """Close the n projections under the basic operations.
 
     Fixpoint rounds: each round composes every basic operation with all
-    argument tuples of already-known members that touch the newest layer,
-    deduplicating by table. Raises BudgetError once more than `max_size`
-    distinct members appear.
+    argument tuples of already-known members that touch the newest layer
+    (the members added in the previous round), deduplicating by table.
+    Raises BudgetError once more than `max_size` distinct members appear,
+    and stops as soon as the clone holds all k**(k**n) functions.
+
+    Tables are byte strings with one lane of `width` bytes per entry. For
+    each prefix of all but the last argument, the last argument runs over
+    a whole block of members at once: one little-endian integer holds
+    the block's tables, and adding the prefix's lanes, scaled by k and
+    repeated by a repunit, puts the operation-table index of every entry
+    of every candidate in its own lane, which is below 256**width so no
+    lane carries. One table lookup over the bytes then yields all the
+    composed tables, in the order the argument tuples come in.
     """
     k = alg.carrier_size
     size = k**n
-    tables: list[tuple] = []
+    top = max([k] + [k**op.arity for op in alg.operations])
+    width = 1
+    while top > 256**width:
+        width *= 2
+    step = size * width
+    everything = k**size
+    tables: list[bytes] = []
     witnesses: list[Term] = []
-    index: dict[tuple, int] = {}
+    seen: set[bytes] = set()
 
-    def add(values: tuple, witness: Term) -> bool:
-        if values in index:
-            return False
+    def add(values: bytes, witness: Term) -> bool:
+        """Record a new member; True once the clone holds every function."""
         if len(tables) >= max_size:
             raise BudgetError(
                 f"clone budget exceeded: more than {max_size} members at arity {n}"
             )
-        index[values] = len(tables)
+        seen.add(values)
         tables.append(values)
         witnesses.append(witness)
-        return True
+        return len(tables) == everything
 
-    for i in range(1, n + 1):
-        add(projection_table(i, n, k).values, Variable(i))
+    def close() -> None:
+        for i in range(1, n + 1):
+            values = _pack(projection_table(i, n, k).values, width)
+            if values not in seen and add(values, Variable(i)):
+                return
+        frontier = 0
+        while frontier < len(tables):
+            known = len(tables)
+            every = _block(tables, 0, step)
+            fresh = _block(tables, frontier, step)
+            for op in alg.operations:
+                lookup = _lookup(op.table, width)
+                for prefix, prefix_lanes in _prefixes(tables, op.arity - 1, k, known):
+                    # tuples made only of older members were composed before
+                    old = max(prefix, default=-1) < frontier
+                    first, blob, repunit = fresh if old else every
+                    combined = prefix_lanes * k * repunit + blob
+                    out = lookup(combined.to_bytes((known - first) * step, "little"))
+                    for j in range(0, len(out), step):
+                        values = out[j : j + step]
+                        if values in seen:
+                            continue
+                        args = prefix + (first + j // step,)
+                        witness = Apply(op.symbol, tuple(witnesses[a] for a in args))
+                        if add(values, witness):
+                            return
+            frontier = known
 
-    frontier_start = 0
-    while True:
-        known = len(tables)
-        new_found = False
-        for op in alg.operations:
-            for args in product(range(known), repeat=op.arity):
-                if all(a < frontier_start for a in args):
-                    continue
-                values = kernels.compose(
-                    op.table, op.arity, [tables[a] for a in args], k, size
-                )
-                witness = Apply(op.symbol, tuple(witnesses[a] for a in args))
-                new_found |= add(values, witness)
-        frontier_start = known
-        if not new_found:
-            break
-
-    members = tuple(FunctionTable(n, k, t) for t in tables)
+    close()
+    members = tuple(FunctionTable(n, k, _unpack(t, width)) for t in tables)
     return CloneLevel(n, k, members, tuple(witnesses))
+
+
+def _block(tables, first, step):
+    """(first, blob, repunit) for the members from index `first` on: the
+    blob holds their tables as one little-endian integer, and the repunit
+    has a 1 in the lowest lane of each table."""
+    unit = b"\x01" + bytes(step - 1)
+    return (
+        first,
+        int.from_bytes(b"".join(tables[first:]), "little"),
+        int.from_bytes(unit * (len(tables) - first), "little"),
+    )
+
+
+def _prefixes(tables, depth, k, known):
+    """(indices, lanes) of every depth-tuple over range(known), in
+    lexicographic order; lane j holds a1[j]*k**(depth-1) + ... + a_depth[j]."""
+    if depth == 0:
+        yield (), 0
+        return
+    for head, head_lanes in _prefixes(tables, depth - 1, k, known):
+        for a in range(known):
+            yield head + (a,), head_lanes * k + int.from_bytes(tables[a], "little")
+
+
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(values, width: int) -> bytes:
+    return struct.pack(f"<{len(values)}{_LANE_CODES[width]}", *values)
+
+
+def _unpack(data: bytes, width: int) -> tuple:
+    return struct.unpack(f"<{len(data) // width}{_LANE_CODES[width]}", data)
+
+
+def _lookup(table, width: int):
+    """Map every lane of a byte string through an operation table."""
+    if width == 1:
+        padded = bytes(table) + bytes(256 - len(table))
+        return lambda data: data.translate(padded)
+    return lambda data: _pack(tuple(map(table.__getitem__, _unpack(data, width))), width)
 
 
 @dataclass(frozen=True)

@@ -99,3 +99,38 @@ def brute_census_all_functions(k, n):
         hist[t] = hist.get(t, 0) + 1
         total += t
     return total, hist
+
+
+def brute_clone(alg, n):
+    """(member tables, witness texts) of the n-ary clone in discovery order.
+
+    Fixpoint rounds over every argument tuple of known members that
+    touches the previous round's members, one tuple at a time, with the
+    projections tabulated by `table_of` and compositions evaluated entry
+    by entry through the raw operation tables. Runs to the fixpoint with
+    no early stop; the witness text is built here, not by the printer.
+    """
+    k = alg.carrier_size
+    ops = ops_of(alg)
+    tables, texts = [], []
+    for i in range(1, n + 1):
+        table = table_of(Variable(i), ops, k, n)
+        if table not in tables:
+            tables.append(table)
+            texts.append(f"x{i}")
+    seen = set(tables)
+    frontier = 0
+    while frontier < len(tables):
+        known = len(tables)
+        for op in alg.operations:
+            fn = ops[op.symbol]
+            for args in product(range(known), repeat=op.arity):
+                if all(a < frontier for a in args):
+                    continue
+                table = tuple(fn(*column) for column in zip(*(tables[a] for a in args)))
+                if table not in seen:
+                    seen.add(table)
+                    tables.append(table)
+                    texts.append(f"{op.symbol}({','.join(texts[a] for a in args)})")
+        frontier = known
+    return tables, texts

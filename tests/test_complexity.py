@@ -1,8 +1,12 @@
 """Complexity measures, clone enumeration, and the algebra census."""
 
 import random
+import re
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termalg import (
     AlgebraCensus,
@@ -24,6 +28,8 @@ from termalg import (
     transport_algebra,
     value_set,
 )
+from termalg import catalog
+from termalg.algebra import FiniteAlgebra, Operation
 
 import oracle
 from helpers import equivalent_bool2_term, random_term
@@ -152,6 +158,24 @@ class TestValueSet:
         assert value_set(parse("x1", mod3), mod3, 2) == {0, 1, 2}
 
 
+def listing(clone):
+    """(member tables, printed witnesses) in discovery order."""
+    return [m.values for m in clone.members], [print_term(w) for w in clone.witnesses]
+
+
+@st.composite
+def small_algebras(draw):
+    """A random algebra with k <= 3, one to three operations of arity 1-3,
+    and an arity n small enough for the oracle's per-tuple closure."""
+    k = draw(st.integers(1, 3))
+    ops = []
+    for i, r in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))):
+        table = draw(st.lists(st.integers(0, k - 1), min_size=k**r, max_size=k**r))
+        ops.append(Operation(f"f{i}", r, tuple(table)))
+    n = draw(st.integers(0, {1: 3, 2: 2, 3: 1}[k]))
+    return FiniteAlgebra("random", k, tuple(ops)), n
+
+
 class TestCloneLevel:
     def test_semilattice_pairs(self, sl):
         clone = clone_level(sl, 2)
@@ -184,8 +208,55 @@ class TestCloneLevel:
             assert induced_operation(witness, bu, 3) == member
 
     def test_budget_error(self, bu):
-        with pytest.raises(BudgetError, match="more than 10 members"):
-            clone_level(bu, 3, max_size=10)
+        # 2 stops among the projections; 5 at the third slot of the block
+        # for +(x1, .), after two members from that same block
+        for max_size in (2, 5, 10, 255):
+            message = f"clone budget exceeded: more than {max_size} members at arity 3"
+            with pytest.raises(BudgetError, match=re.escape(message)):
+                clone_level(bu, 3, max_size=max_size)
+
+    def test_budget_equal_to_clone_size_is_enough(self, bu):
+        assert clone_level(bu, 3, max_size=256).size == 256
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [
+            ("bool2", 3),
+            ("boolean_ring", 3),
+            ("chain3", 3),
+            ("two_element_semilattice", 4),
+            ("mod3", 1),
+        ],
+    )
+    def test_matches_reference_order(self, name, n):
+        alg = getattr(catalog, name)()
+        assert listing(clone_level(alg, n)) == oracle.brute_clone(alg, n)
+
+    @given(small_algebras())
+    @settings(max_examples=150, deadline=None)
+    def test_random_algebras_match_reference_order(self, case):
+        alg, n = case
+        assert listing(clone_level(alg, n)) == oracle.brute_clone(alg, n)
+
+    def test_wide_lanes(self):
+        # 7**3 operation-table indices and 257 carrier values do not fit
+        # in one byte per entry
+        sum7 = FiniteAlgebra(
+            "sum7",
+            7,
+            (Operation("s", 3, tuple(sum(t) % 7 for t in product(range(7), repeat=3))),),
+        )
+        succ257 = FiniteAlgebra(
+            "succ257", 257, (Operation("succ", 1, tuple((a + 1) % 257 for a in range(257))),)
+        )
+        for alg, size in ((sum7, 7), (succ257, 257)):
+            clone = clone_level(alg, 1)
+            assert clone.size == size
+            assert listing(clone) == oracle.brute_clone(alg, 1)
+
+    def test_arity_zero_is_empty(self, bu):
+        clone = clone_level(bu, 0)
+        assert clone.members == clone.witnesses == ()
 
     def test_deterministic(self, bu):
         a = clone_level(bu, 3)
@@ -196,10 +267,9 @@ class TestCloneLevel:
         ]
 
     def test_degenerate_carrier(self):
-        from termalg.algebra import FiniteAlgebra, Operation
-
+        # the three projections are one function
         one = FiniteAlgebra("one", 1, (Operation("f", 2, (0,)),))
-        assert clone_level(one, 3).size == 1
+        assert listing(clone_level(one, 3)) == ([(0,)], ["x1"])
 
 
 class TestCensus:
