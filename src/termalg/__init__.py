@@ -2,9 +2,8 @@
 
 Computes essential variables, separable variable sets, identity
 satisfaction, three complexity measures for terms, and the n-complexity
-of an algebra via exhaustive clone enumeration. The table kernels run
-either as a compiled extension or as pure Python; `termalg.kernels.BACKEND`
-says which.
+of an algebra via exhaustive clone enumeration. The table kernels are
+pure Python; `termalg.BACKEND` names that lane, "python".
 """
 
 from .algebra import (

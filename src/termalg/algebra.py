@@ -246,6 +246,19 @@ def dump_algebra(alg: FiniteAlgebra, path) -> None:
 # induced operations
 
 
+def _table_size(k: int, n: int) -> int:
+    """Entries of an n-ary table over k elements, k**n, checked against
+    TABLE_BUDGET before any table of that size is built."""
+    # from this arity on k**n > TABLE_BUDGET for every k >= 2, and the
+    # power itself may be too large to compute
+    if k > 1 and (n >= TABLE_BUDGET.bit_length() or k**n > TABLE_BUDGET):
+        raise BudgetError(
+            f"a table of arity {n} over {k} elements needs {k}**{n} entries, "
+            f"budget is {TABLE_BUDGET}"
+        )
+    return k**n
+
+
 def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
     """Tabulate the n-ary operation the term or polynomial induces.
 
@@ -255,7 +268,7 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
     k = alg.carrier_size
     if n < 0:
         raise TermError(f"context arity must be >= 0, got {n}")
-    size = k**n
+    size = _table_size(k, n)
     ops = {op.symbol: op for op in alg.operations}
 
     def tab(t: Term) -> tuple:

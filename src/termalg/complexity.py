@@ -12,11 +12,16 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Optional
 
 from . import kernels
-from .algebra import FiniteAlgebra, FunctionTable, induced_operation, projection_table
+from .algebra import (
+    FiniteAlgebra,
+    FunctionTable,
+    induced_operation,
+    projection_table,
+    _table_size,
+)
 from .errors import BudgetError
 from .semantics import _check_subset, _context
 from .terms import Apply, Constant, Term, Variable
@@ -81,15 +86,7 @@ def cp3_set(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) -> in
     if not m:
         raise ValueError("cp3 is defined for nonempty variable sets")
     table = induced_operation(term, alg, n)
-    k = alg.carrier_size
-    target = kernels.mask_of_indices(m)
-    outside = [p for p in range(n) if not (target >> p) & 1]
-    count = 0
-    for consts in product(range(k), repeat=len(outside)):
-        restricted = kernels.restrict(table.values, k, n, outside, consts)
-        if kernels.essential_mask(restricted, k, n) == target:
-            count += 1
-    return count
+    return kernels.cp3_count(table.values, alg.carrier_size, n, kernels.mask_of_indices(m))
 
 
 def cp3_total(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> ComplexityReport:
@@ -155,7 +152,7 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     composed tables, in the order the argument tuples come in.
     """
     k = alg.carrier_size
-    size = k**n
+    size = _table_size(k, n)
     top = max([k] + [k**op.arity for op in alg.operations])
     width = 1
     while top > 256**width:

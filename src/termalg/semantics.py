@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 from . import kernels
 from .algebra import FiniteAlgebra, FunctionTable, induced_operation
 from .errors import TermError
-from .terms import Apply, Constant, Term, Variable, apply_evaluation, max_variable, variables
+from .terms import Apply, Constant, Term, Variable, max_variable, variables
 
 __all__ = [
     "essential_vars",
@@ -93,19 +93,13 @@ def is_separable(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) 
     m = _check_subset(subset, n)
     if not m:
         raise ValueError("separability is defined for nonempty variable sets")
-    essential = ess(term, alg, n)
+    table = induced_operation(term, alg, n)
+    essential = essential_vars(table)
     for i in sorted(m):
         if i not in essential:
             raise ValueError(f"x{i} is not essential in the term, so the set is not admissible")
-    table = induced_operation(term, alg, n)
-    k = alg.carrier_size
-    target = kernels.mask_of_indices(m)
-    outside = [p for p in range(n) if not (target >> p) & 1]
-    for consts in product(range(k), repeat=len(outside)):
-        restricted = kernels.restrict(table.values, k, n, outside, consts)
-        if kernels.essential_mask(restricted, k, n) == target:
-            return True
-    return False
+    mask = kernels.mask_of_indices(m)
+    return kernels.cp3_count(table.values, alg.carrier_size, n, mask) >= 1
 
 
 def sep_sets(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> list[frozenset[int]]:
@@ -128,13 +122,14 @@ def is_subterm(t: Term, s: Term, alg: FiniteAlgebra, n: Optional[int] = None) ->
     n = _context(n, s, t)
     k = alg.carrier_size
     target = induced_operation(t, alg, n).values
+    source = induced_operation(s, alg, n).values
     vs = sorted(variables(s))
     # proper subsets only, but the empty one must stay available when
     # s has no variables at all (reflexivity)
     for m in range(max(len(vs), 1)):
         for chosen in combinations(vs, m):
+            positions = [i - 1 for i in chosen]
             for consts in product(range(k), repeat=m):
-                image = apply_evaluation(s, dict(zip(chosen, consts)))
-                if induced_operation(image, alg, n).values == target:
+                if kernels.restrict(source, k, n, positions, consts) == target:
                     return True
     return False

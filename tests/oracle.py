@@ -76,6 +76,30 @@ def brute_cp3_set(table, k, n, subset):
     return count
 
 
+def term_variables(node):
+    if isinstance(node, Variable):
+        return {node.index}
+    if isinstance(node, Constant):
+        return set()
+    return set().union(*(term_variables(c) for c in node.children))
+
+
+def brute_is_subterm(t, s, ops, k, n):
+    """Is the table of t a restriction of the table of s by an evaluation
+    of a proper subset of var(s)? The empty evaluation always counts."""
+    target = table_of(t, ops, k, n)
+    source = table_of(s, ops, k, n)
+    vs = sorted(term_variables(s))
+    # value k leaves a variable free, and one must stay free when var(s) is not empty
+    for choice in product(range(k + 1), repeat=len(vs)):
+        if vs and k not in choice:
+            continue
+        assigned = {i: c for i, c in zip(vs, choice) if c < k}
+        if brute_restrict(source, k, n, assigned) == target:
+            return True
+    return False
+
+
 def brute_cp3_report(table, k, n):
     """(per-set dict keyed by frozenset, total)."""
     per = {}

@@ -27,6 +27,7 @@ from termalg import (
     transport_algebra,
     validate_algebra,
 )
+from termalg import algebra
 from termalg.algebra import dump_algebra
 from termalg.terms import apply_evaluation
 
@@ -141,6 +142,23 @@ class TestInducedOperation:
                 term = random_term(rng, alg, 3, 3, p_const=0.2)
                 got = induced_operation(term, alg, 3)
                 assert got.values == oracle.table_of(term, ops, alg.carrier_size, 3)
+
+    def test_table_budget(self, bu, mod3, monkeypatch):
+        x1 = parse("x1", bu)
+        with pytest.raises(BudgetError, match=r"needs 2\*\*26 entries, budget is 1000000$"):
+            induced_operation(x1, bu, 26)
+        with pytest.raises(BudgetError, match=r"needs 3\*\*14 entries, budget is 1000000$"):
+            induced_operation(x1, mod3, 14)
+        with pytest.raises(BudgetError, match=r"2\*\*1000000000000 entries"):
+            induced_operation(x1, bu, 10**12)
+        monkeypatch.setattr(algebra, "TABLE_BUDGET", 9)
+        assert len(induced_operation(x1, mod3, 2).values) == 9
+        monkeypatch.setattr(algebra, "TABLE_BUDGET", 8)
+        with pytest.raises(BudgetError, match=r"3\*\*2 entries, budget is 8$"):
+            induced_operation(x1, mod3, 2)
+        # one element: every arity has a single entry
+        unit = FiniteAlgebra("unit", 1, (Operation("f", 1, (0,)),))
+        assert induced_operation(x1, unit, 50).values == (0,)
 
 
 class TestRestrictTable:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: dispatch, output shape, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -220,6 +221,26 @@ class TestCensusAndClone:
         _, first, _ = run(capsys, "census", bu_path, "--arity", "2", "--json")
         _, second, _ = run(capsys, "census", bu_path, "--arity", "2", "--json")
         assert first == second
+
+
+class TestTableBudget:
+    @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            (("eval", "bool2", "x1", "--arity", "26"), "2**26"),
+            (("census", "bool2", "--arity", "26"), "2**26"),
+            (("ess", "mod3", "x1", "--arity", "14"), "3**14"),
+        ],
+    )
+    def test_over_budget_fails_fast(self, capsys, tmp_path, argv, estimate):
+        path = tmp_path / f"{argv[1]}.json"
+        dump_algebra({"bool2": catalog.bool2, "mod3": catalog.mod3}[argv[1]](), path)
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], str(path), *argv[2:])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert f"needs {estimate} entries, budget is 1000000" in err
 
 
 class TestUsage:

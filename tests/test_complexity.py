@@ -28,7 +28,7 @@ from termalg import (
     transport_algebra,
     value_set,
 )
-from termalg import catalog
+from termalg import algebra, catalog
 from termalg.algebra import FiniteAlgebra, Operation
 
 import oracle
@@ -217,6 +217,16 @@ class TestCloneLevel:
 
     def test_budget_equal_to_clone_size_is_enough(self, bu):
         assert clone_level(bu, 3, max_size=256).size == 256
+
+    def test_table_budget_checked_before_the_closure(self, bu, mod3, monkeypatch):
+        with pytest.raises(BudgetError, match=r"needs 2\*\*26 entries, budget is 1000000"):
+            clone_level(bu, 26)
+        with pytest.raises(BudgetError, match=r"needs 2\*\*26 entries"):
+            algebra_n_complexity(bu, 26)
+        monkeypatch.setattr(algebra, "TABLE_BUDGET", 3)
+        assert clone_level(mod3, 1).arity == 1
+        with pytest.raises(BudgetError, match=r"3\*\*2 entries, budget is 3$"):
+            clone_level(mod3, 2)
 
     @pytest.mark.parametrize(
         "name, n",

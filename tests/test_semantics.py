@@ -1,7 +1,7 @@
 """Essential variables, identities, separability, and the subterm order."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,7 +22,9 @@ from termalg import (
     satisfies_identity,
     sep_sets,
     subalgebra,
+    variables,
 )
+from termalg import catalog
 from termalg.algebra import FiniteAlgebra, Operation
 
 import oracle
@@ -203,18 +205,25 @@ class TestSeparability:
 
     def test_separable_iff_positive_count(self, bu, mod3):
         rng = random.Random(71)
-        for alg in (bu, mod3):
+        unit = FiniteAlgebra("unit", 1, (Operation("f", 2, (0,)),))
+        for alg in (bu, mod3, unit):
+            ops, k = oracle.ops_of(alg), alg.carrier_size
             for _ in range(30):
                 term = random_term(rng, alg, 3, 3)
-                essential = ess(term, alg, 3)
+                table = oracle.table_of(term, ops, k, 3)
+                essential = oracle.brute_ess(table, k, 3)
                 listed = set(sep_sets(term, alg, 3))
                 for size in (1, 2, 3):
-                    for subset in product(*([sorted(essential)] * size)):
+                    for subset in combinations((1, 2, 3), size):
                         m = frozenset(subset)
-                        if len(m) != size:
+                        count = cp3_set(term, alg, 3, m)
+                        assert count == oracle.brute_cp3_set(table, k, 3, m)
+                        if not m <= essential:
+                            assert count == 0
+                            with pytest.raises(ValueError, match="is not essential"):
+                                is_separable(term, alg, 3, m)
                             continue
                         verdict = is_separable(term, alg, 3, m)
-                        count = cp3_set(term, alg, 3, m)
                         assert verdict == (count >= 1)
                         assert verdict == (m in listed)
 
@@ -233,6 +242,29 @@ class TestSubterm:
 
     def test_negative_example(self, bu):
         assert not is_subterm(parse("x3", bu), parse("*(x1,x2)", bu), bu, 3)
+
+    @pytest.mark.parametrize("name, n", [("bool2", 4), ("chain3", 3), ("mod3", 3)])
+    def test_matches_oracle(self, name, n):
+        alg = getattr(catalog, name)()
+        ops, k = oracle.ops_of(alg), alg.carrier_size
+        rng = random.Random(97)
+        verdicts = []
+        for round_ in range(60):
+            # s may use fewer than n variables, or none at all
+            s = random_term(rng, alg, rng.randint(1, n), 3, p_const=0.1)
+            vs = sorted(variables(s))
+            if round_ % 6 == 0:
+                s = apply_evaluation(s, {i: rng.randrange(k) for i in vs})
+                vs = []
+            chosen = rng.sample(vs, rng.randrange(len(vs))) if vs else []
+            substituted = apply_evaluation(s, {i: rng.randrange(k) for i in chosen})
+            unrelated = random_term(rng, alg, n, 3, p_const=0.1)
+            for t in (substituted, unrelated):
+                verdict = is_subterm(t, s, alg, n)
+                assert verdict == oracle.brute_is_subterm(t, s, ops, k, n), (t, s)
+                verdicts.append(verdict)
+            assert verdicts[-2]
+        assert not all(verdicts[1::2])
 
     def test_subterm_implies_sep_containment(self, bu):
         rng = random.Random(83)
