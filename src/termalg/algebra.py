@@ -17,9 +17,11 @@ from .errors import AlgebraError, BudgetError, TermError
 from .terms import Apply, Constant, Term, Variable
 
 TABLE_BUDGET = 1_000_000
+WORK_BUDGET = 100_000_000
 
 __all__ = [
     "TABLE_BUDGET",
+    "WORK_BUDGET",
     "Operation",
     "FiniteAlgebra",
     "FunctionTable",
@@ -115,19 +117,30 @@ class FunctionTable:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
         k = self.carrier_size
         if self.arity < 0 or k < 1:
             raise AlgebraError(
                 f"bad table shape: arity {self.arity}, carrier {k}"
             )
-        if len(self.values) != k**self.arity:
+        if len(values) != k**self.arity:
             raise AlgebraError(
-                f"table length {len(self.values)}, expected {k}^{self.arity}"
+                f"table length {len(values)}, expected {k}^{self.arity}"
             )
-        for j, v in enumerate(self.values):
-            if not isinstance(v, int) or not 0 <= v < k:
-                raise AlgebraError(f"table entry {v!r} at position {j} is outside 0..{k - 1}")
+        # Below a few hundred entries the scan is as fast as whole-table
+        # passes over types and range; above, the passes decide and the
+        # scan only names the first bad entry.
+        if len(values) < 256 or not (
+            all(issubclass(t, int) for t in set(map(type, values)))
+            and min(values) >= 0
+            and max(values) < k
+        ):
+            for j, v in enumerate(values):
+                if not isinstance(v, int) or not 0 <= v < k:
+                    raise AlgebraError(
+                        f"table entry {v!r} at position {j} is outside 0..{k - 1}"
+                    )
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
@@ -163,10 +176,14 @@ def projection_table(i: int, n: int, k: int) -> FunctionTable:
     """Table of the n-ary projection onto the i-th coordinate (1-based)."""
     if not 1 <= i <= n:
         raise TermError(f"projection index {i} outside 1..{n}")
-    inner = k ** (n - i)
-    outer = k ** (i - 1)
-    block = [v for v in range(k) for _ in range(inner)]
-    return FunctionTable(n, k, tuple(block * outer))
+    width = kernels.lane_width(k, ())
+    return FunctionTable(n, k, kernels.unpack(_projection_lanes(i, n, k, width), width))
+
+
+def _projection_lanes(i: int, n: int, k: int, width: int) -> bytes:
+    """Lane bytes of the n-ary projection onto the i-th coordinate."""
+    block = b"".join(v.to_bytes(width, "little") * k ** (n - i) for v in range(k))
+    return block * k ** (i - 1)
 
 
 def constant_table(value: int, n: int, k: int) -> FunctionTable:
@@ -259,27 +276,51 @@ def _table_size(k: int, n: int) -> int:
     return k**n
 
 
+def _check_work(work: int, estimate: str) -> None:
+    """Raise BudgetError when a search or count would visit more than
+    WORK_BUDGET table entries; `estimate` spells out how `work` arises."""
+    if work > WORK_BUDGET:
+        raise BudgetError(f"{estimate} entries, budget is {WORK_BUDGET}")
+
+
+def _check_cp3_work(k: int, n: int) -> None:
+    """Budget of cp3 over every variable set of an n-ary table: 2**n
+    sets, each visiting the k**n entries. A one-element carrier is
+    charged as two, since the per-set work and the report, one line per
+    set, do not shrink with its one-entry table."""
+    _table_size(k, n)
+    b = max(k, 2)
+    # from this arity on 2**n alone exceeds the budget
+    work = WORK_BUDGET + 1 if n >= WORK_BUDGET.bit_length() else (2 * b) ** n
+    _check_work(work, f"cp3 over every variable set needs 2**{n} sets x {b}**{n}")
+
+
 def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
     """Tabulate the n-ary operation the term or polynomial induces.
 
-    Bottom-up: variables become projections, constants become constant
-    operations, applications compose pointwise.
+    Bottom-up on lane bytes: variables become projections (each built
+    once), constants become constant operations, applications compose
+    pointwise.
     """
     k = alg.carrier_size
     if n < 0:
         raise TermError(f"context arity must be >= 0, got {n}")
     size = _table_size(k, n)
     ops = {op.symbol: op for op in alg.operations}
+    width = kernels.lane_width(k, [op.arity for op in alg.operations])
+    projections: dict[int, bytes] = {}
 
-    def tab(t: Term) -> tuple:
+    def tab(t: Term) -> bytes:
         if isinstance(t, Variable):
             if t.index > n:
                 raise TermError(f"variable x{t.index} exceeds context arity {n}")
-            return projection_table(t.index, n, k).values
+            if t.index not in projections:
+                projections[t.index] = _projection_lanes(t.index, n, k, width)
+            return projections[t.index]
         if isinstance(t, Constant):
             if not 0 <= t.value < k:
                 raise TermError(f"constant #{t.value} outside carrier 0..{k - 1}")
-            return (t.value,) * size
+            return t.value.to_bytes(width, "little") * size
         if not isinstance(t, Apply):
             raise TermError(f"not a term node: {t!r}")
         op = ops.get(t.symbol)
@@ -292,7 +333,7 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
         args = [tab(c) for c in t.children]
         return kernels.compose(op.table, op.arity, args, k, size)
 
-    return FunctionTable(n, k, tab(term))
+    return FunctionTable(n, k, kernels.unpack(tab(term), width))
 
 
 def restrict_table(table: FunctionTable, evaluation) -> FunctionTable:

@@ -10,7 +10,6 @@ of an algebra.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -19,7 +18,8 @@ from .algebra import (
     FiniteAlgebra,
     FunctionTable,
     induced_operation,
-    projection_table,
+    _check_cp3_work,
+    _projection_lanes,
     _table_size,
 )
 from .errors import BudgetError
@@ -97,6 +97,7 @@ def cp3_total(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> Comple
 
 def cp3_of_table(table: FunctionTable) -> ComplexityReport:
     """cp3 report computed directly from a tabulated function."""
+    _check_cp3_work(table.carrier_size, table.arity)
     counts = kernels.cp3_counts(table.values, table.carrier_size, table.arity)
     return ComplexityReport.from_counts(counts, table.arity)
 
@@ -153,10 +154,7 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     """
     k = alg.carrier_size
     size = _table_size(k, n)
-    top = max([k] + [k**op.arity for op in alg.operations])
-    width = 1
-    while top > 256**width:
-        width *= 2
+    width = kernels.lane_width(k, [op.arity for op in alg.operations])
     step = size * width
     everything = k**size
     tables: list[bytes] = []
@@ -176,7 +174,7 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
 
     def close() -> None:
         for i in range(1, n + 1):
-            values = _pack(projection_table(i, n, k).values, width)
+            values = _projection_lanes(i, n, k, width)
             if values not in seen and add(values, Variable(i)):
                 return
         frontier = 0
@@ -185,7 +183,7 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
             every = _block(tables, 0, step)
             fresh = _block(tables, frontier, step)
             for op in alg.operations:
-                lookup = _lookup(op.table, width)
+                lookup = kernels.lookup(op.table, width)
                 for prefix, prefix_lanes in _prefixes(tables, op.arity - 1, k, known):
                     # tuples made only of older members were composed before
                     old = max(prefix, default=-1) < frontier
@@ -203,7 +201,7 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
             frontier = known
 
     close()
-    members = tuple(FunctionTable(n, k, _unpack(t, width)) for t in tables)
+    members = tuple(FunctionTable(n, k, kernels.unpack(t, width)) for t in tables)
     return CloneLevel(n, k, members, tuple(witnesses))
 
 
@@ -228,25 +226,6 @@ def _prefixes(tables, depth, k, known):
     for head, head_lanes in _prefixes(tables, depth - 1, k, known):
         for a in range(known):
             yield head + (a,), head_lanes * k + int.from_bytes(tables[a], "little")
-
-
-_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _pack(values, width: int) -> bytes:
-    return struct.pack(f"<{len(values)}{_LANE_CODES[width]}", *values)
-
-
-def _unpack(data: bytes, width: int) -> tuple:
-    return struct.unpack(f"<{len(data) // width}{_LANE_CODES[width]}", data)
-
-
-def _lookup(table, width: int):
-    """Map every lane of a byte string through an operation table."""
-    if width == 1:
-        padded = bytes(table) + bytes(256 - len(table))
-        return lambda data: data.translate(padded)
-    return lambda data: _pack(tuple(map(table.__getitem__, _unpack(data, width))), width)
 
 
 @dataclass(frozen=True)
@@ -282,8 +261,9 @@ def algebra_n_complexity(
     alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET
 ) -> AlgebraCensus:
     """Sum cp3 over every n-ary clone member, grouping members by total."""
-    clone = clone_level(alg, n, max_size)
     k = alg.carrier_size
+    _check_cp3_work(k, n)
+    clone = clone_level(alg, n, max_size)
     buckets: dict[int, int] = {}
     total = 0
     for member in clone.members:

@@ -6,10 +6,18 @@ A table is a flat sequence of carrier values with the first argument
 most significant: the tuple (a1, ..., an) sits at index
 sum(ai * k**(n - i)).
 
+Tables being built (term tabulation and the clone closure) are lane
+bytes: one little-endian lane of `width` bytes per entry, wide enough
+for every operation-table index the composition forms, so a whole table
+is one integer and composing is one multiply-add and one lookup.
+
 Positions are 0-based here; masks carry position p in bit p. The helpers
 at the bottom translate between masks and the public 1-based
 variable-index sets.
 """
+
+import struct
+from itertools import chain
 
 BACKEND = "python"
 
@@ -44,18 +52,32 @@ def restrict(values, k, arity, positions, constants):
 
     Returns the table of the function obtained by plugging constants[j]
     into argument positions[j]; those positions become fictitious.
+    `values` is a tuple or lane bytes, and the result is of the same
+    kind. For each position, every block of k segments (one per digit
+    there) becomes the constant's segment repeated k times. The Python
+    steps per position are the fewer of the blocks and the entries of a
+    block: few blocks are joined slice by slice; many short ones are
+    copied one column at a time, each column of the constant's segment
+    going by an extended slice to the same column of every segment.
     """
-    size = k**arity
-    if not positions:
-        return tuple(values)
-    strides = [k ** (arity - 1 - p) for p in positions]
-    out = [0] * size
-    for idx in range(size):
-        j = idx
-        for s, c in zip(strides, constants):
-            j += (c - (j // s) % k) * s
-        out[idx] = values[j]
-    return tuple(out)
+    lanes = isinstance(values, bytes)
+    out = values if lanes else tuple(values)
+    unit = len(out) // k**arity
+    for p, c in zip(positions, constants):
+        segment = k ** (arity - 1 - p) * unit
+        block = segment * k
+        start = c * segment
+        if block < len(out) // block:
+            res = bytearray(len(out)) if lanes else [0] * len(out)
+            for o in range(segment):
+                column = out[start + o :: block]
+                for d in range(o, block, segment):
+                    res[d::block] = column
+            out = bytes(res) if lanes else tuple(res)
+        else:
+            parts = (out[i : i + segment] * k for i in range(start, len(out), block))
+            out = b"".join(parts) if lanes else tuple(chain.from_iterable(parts))
+    return out
 
 
 def cp3_count(values, k, arity, mask):
@@ -128,20 +150,50 @@ def _count(axes, k):
 
 
 def compose(op_values, op_arity, args, k, size):
-    """Pointwise composition: out[i] = op(args[0][i], ..., args[m-1][i])."""
-    if op_arity == 1:
-        a0 = args[0]
-        return tuple(op_values[a0[i]] for i in range(size))
-    if op_arity == 2:
-        a0, a1 = args
-        return tuple(op_values[a0[i] * k + a1[i]] for i in range(size))
-    out = [0] * size
-    for i in range(size):
-        j = 0
-        for a in args:
-            j = j * k + a[i]
-        out[i] = op_values[j]
-    return tuple(out)
+    """Pointwise composition of lane bytes: lane i of the result is
+    op(args[0][i], ..., args[op_arity - 1][i]).
+
+    The argument lanes are combined by one multiply-add into the
+    operation-table index of every entry, which the lane width holds
+    without carries, and one lookup maps the indices to values.
+    """
+    width = len(args[0]) // size
+    combined = 0
+    for a in args:
+        combined = combined * k + int.from_bytes(a, "little")
+    return lookup(op_values, width)(combined.to_bytes(size * width, "little"))
+
+
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def lane_width(k, arities):
+    """Bytes per lane for tables over k elements composed by operations
+    of these arities: every value and every operation-table index,
+    below k**arity, fits."""
+    top = max([k] + [k**a for a in arities])
+    width = 1
+    while top > 256**width:
+        width *= 2
+    return width
+
+
+def pack(values, width):
+    """Lane bytes of a value sequence."""
+    return struct.pack(f"<{len(values)}{_LANE_CODES[width]}", *values)
+
+
+def unpack(data, width):
+    """The value tuple held in lane bytes."""
+    return struct.unpack(f"<{len(data) // width}{_LANE_CODES[width]}", data)
+
+
+def lookup(table, width):
+    """Map every lane of a byte string through an operation table."""
+    if width == 1:
+        padded = bytes(table) + bytes(256 - len(table))
+        return lambda data: data.translate(padded)
+    return lambda data: pack(tuple(map(table.__getitem__, unpack(data, width))), width)
 
 
 def mask_of_indices(indices):

@@ -13,7 +13,13 @@ from itertools import combinations, product
 from typing import Iterable, Optional
 
 from . import kernels
-from .algebra import FiniteAlgebra, FunctionTable, induced_operation
+from .algebra import (
+    FiniteAlgebra,
+    FunctionTable,
+    induced_operation,
+    _check_cp3_work,
+    _check_work,
+)
 from .errors import TermError
 from .terms import Apply, Constant, Term, Variable, max_variable, variables
 
@@ -105,6 +111,7 @@ def is_separable(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) 
 def sep_sets(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> list[frozenset[int]]:
     """All separable sets, ordered lexicographically by sorted indices."""
     n = _context(n, term)
+    _check_cp3_work(alg.carrier_size, n)
     table = induced_operation(term, alg, n)
     counts = kernels.cp3_counts(table.values, alg.carrier_size, n)
     found = [kernels.indices_of_mask(m) for m in range(1, 1 << n) if counts[m] >= 1]
@@ -118,18 +125,37 @@ def is_subterm(t: Term, s: Term, alg: FiniteAlgebra, n: Optional[int] = None) ->
     set included, turns s into a polynomial inducing the same operation
     as t. With M empty this is plain identity, so the relation is
     reflexive.
+
+    An evaluated variable is fictitious in the result, so M avoids
+    ess(t): only subsets of var(s) - ess(t) are searched. The search is
+    checked against WORK_BUDGET before it starts.
     """
     n = _context(n, s, t)
     k = alg.carrier_size
-    target = induced_operation(t, alg, n).values
-    source = induced_operation(s, alg, n).values
-    vs = sorted(variables(s))
+    target = induced_operation(t, alg, n)
+    source = induced_operation(s, alg, n)
+    vs = variables(s)
+    pool = sorted(vs - essential_vars(target))
+    p = len(pool)
     # proper subsets only, but the empty one must stay available when
     # s has no variables at all (reflexivity)
-    for m in range(max(len(vs), 1)):
-        for chosen in combinations(vs, m):
+    top = min(p, max(len(vs) - 1, 0))
+    # the sum of C(p, m) * k**m over m <= top, where top is p or p - 1
+    if top == p:
+        evaluations, formula = (k + 1) ** p, f"{k + 1}**{p}"
+    else:
+        evaluations, formula = (k + 1) ** p - k**p, f"{k + 1}**{p} - {k}**{p}"
+    _check_work(
+        evaluations * len(source.values),
+        f"the subterm search needs up to {formula} evaluations x {k}**{n}",
+    )
+    width = kernels.lane_width(k, ())
+    want = kernels.pack(target.values, width)
+    have = kernels.pack(source.values, width)
+    for m in range(top + 1):
+        for chosen in combinations(pool, m):
             positions = [i - 1 for i in chosen]
             for consts in product(range(k), repeat=m):
-                if kernels.restrict(source, k, n, positions, consts) == target:
+                if kernels.restrict(have, k, n, positions, consts) == want:
                     return True
     return False

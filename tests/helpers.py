@@ -1,7 +1,9 @@
 """Shared generators for randomized and exhaustive term tests."""
 
 import random
+from itertools import product
 
+from termalg.algebra import FiniteAlgebra, Operation
 from termalg.terms import Apply, Constant, Variable
 
 
@@ -21,6 +23,21 @@ def random_term(rng, alg, n_vars, depth, p_const=0.0):
         random_term(rng, alg, n_vars, depth - 1, p_const) for _ in range(arity)
     )
     return Apply(symbol, children)
+
+
+def wide_lane_algebras():
+    """A ternary sum on 7 elements and successor on 257 elements: their
+    7**3 operation-table indices and 257 carrier values do not fit in one
+    byte per entry."""
+    sum7 = FiniteAlgebra(
+        "sum7",
+        7,
+        (Operation("s", 3, tuple(sum(t) % 7 for t in product(range(7), repeat=3))),),
+    )
+    succ257 = FiniteAlgebra(
+        "succ257", 257, (Operation("succ", 1, tuple((a + 1) % 257 for a in range(257))),)
+    )
+    return sum7, succ257
 
 
 def equivalent_bool2_term(rng, term):

@@ -1,6 +1,7 @@
 """Algebra validation, induced operations, and algebra constructions."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from termalg.algebra import dump_algebra
 from termalg.terms import apply_evaluation
 
 import oracle
-from helpers import random_term
+from helpers import random_term, wide_lane_algebras
 
 T1 = "+(*(x1,x2),x3)"
 T2 = "+(*(x1,x3),*(x2,neg(x3)))"
@@ -134,14 +135,19 @@ class TestInducedOperation:
         with pytest.raises(TermError, match="unknown operation symbol 'neg'"):
             induced_operation(term, sl, 1)
 
-    def test_matches_direct_recursive_interpretation(self, bu, chain3):
+    def test_matches_direct_recursive_interpretation(self, bu, chain3, mod3):
         rng = random.Random(11)
-        for alg in (bu, chain3):
+        sum7, succ257 = wide_lane_algebras()
+        unit = FiniteAlgebra("unit", 1, (Operation("f", 2, (0,)),))
+        cases = [(bu, 3), (chain3, 3), (mod3, 3), (sum7, 3), (succ257, 1), (unit, 3)]
+        cases += [(bu, 0), (mod3, 0)]
+        for alg, n in cases:
             ops = oracle.ops_of(alg)
             for _ in range(60):
-                term = random_term(rng, alg, 3, 3, p_const=0.2)
-                got = induced_operation(term, alg, 3)
-                assert got.values == oracle.table_of(term, ops, alg.carrier_size, 3)
+                # polynomials: a fifth of the leaves are constants, all at n=0
+                term = random_term(rng, alg, max(n, 1), 3, p_const=0.2 if n else 1.0)
+                got = induced_operation(term, alg, n)
+                assert got.values == oracle.table_of(term, ops, alg.carrier_size, n)
 
     def test_table_budget(self, bu, mod3, monkeypatch):
         x1 = parse("x1", bu)
@@ -324,6 +330,23 @@ class TestFunctionTableType:
             FunctionTable(2, 2, (0, 1, 0))
         with pytest.raises(AlgebraError):
             FunctionTable(1, 2, (0, 2))
+
+    @pytest.mark.parametrize("arity", [2, 9])
+    def test_entry_validation_names_the_first_bad_entry(self, arity):
+        # 4 entries are only scanned; 512 meet the whole-table passes first
+        for bad, shown in ((1.0, "1.0"), ("1", "'1'"), (-1, "-1"), (2, "2")):
+            for later in (0, "x"):
+                values = [0, 1] * 2 ** (arity - 1)
+                values[2] = bad
+                values[-1] = later
+                message = re.escape(f"table entry {shown} at position 2 is outside 0..1")
+                with pytest.raises(AlgebraError, match=message + "$"):
+                    FunctionTable(arity, 2, values)
+
+    @pytest.mark.parametrize("arity", [1, 9])
+    def test_bool_entries_accepted(self, arity):
+        values = (True, False) * 2 ** (arity - 1)
+        assert FunctionTable(arity, 2, values).values == values
 
     def test_evaluation_validation(self):
         with pytest.raises(AlgebraError):

@@ -243,6 +243,29 @@ class TestTableBudget:
         assert f"needs {estimate} entries, budget is 1000000" in err
 
 
+# +(x1,+(x2,...+(x14,x15)...)); x1 is reached only by evaluating x2..x15
+XOR_CHAIN_15 = "".join(f"+(x{i}," for i in range(1, 15)) + "x15" + ")" * 14
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            (("subterm", "x1", XOR_CHAIN_15), "needs up to 3**14 evaluations x 2**15"),
+            (("cp", "x1", "--arity", "18", "--measures", "3"), "needs 2**18 sets x 2**18"),
+            (("sep", "x1", "--arity", "18"), "needs 2**18 sets x 2**18"),
+            (("census", "--arity", "14"), "needs 2**14 sets x 2**14"),
+        ],
+    )
+    def test_over_budget_fails_fast(self, capsys, bu_path, argv, estimate):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], bu_path, *argv[1:])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert f"{estimate} entries, budget is 100000000" in err
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 2

@@ -2,7 +2,6 @@
 
 import random
 import re
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,7 @@ from termalg import (
     print_term,
     rename_variables,
     satisfies_identity,
+    sep_sets,
     transport_algebra,
     value_set,
 )
@@ -32,7 +32,7 @@ from termalg import algebra, catalog
 from termalg.algebra import FiniteAlgebra, Operation
 
 import oracle
-from helpers import equivalent_bool2_term, random_term
+from helpers import equivalent_bool2_term, random_term, wide_lane_algebras
 
 T1 = "+(*(x1,x2),x3)"
 T2 = "+(*(x1,x3),*(x2,neg(x3)))"
@@ -146,6 +146,37 @@ class TestCp3OfTable:
                 assert report.total == total
                 assert dict(report.per_set) == per
 
+    def test_work_budget(self, bu, monkeypatch):
+        # 2**n sets, each visiting the k**n entries, checked before counting
+        x1 = parse("x1", bu)
+        message = (
+            r"cp3 over every variable set needs 2\*\*14 sets x 2\*\*14 entries, "
+            r"budget is 100000000$"
+        )
+        with pytest.raises(BudgetError, match=message):
+            cp3_total(x1, bu, 14)
+        with pytest.raises(BudgetError, match=message):
+            sep_sets(x1, bu, 14)
+        # before the closure, which would not end within the clone budget
+        with pytest.raises(BudgetError, match=message):
+            algebra_n_complexity(bu, 14)
+        # a one-element carrier is charged as two, at any arity
+        unit = FiniteAlgebra("unit", 1, (Operation("f", 1, (0,)),))
+        for n in (14, 10**12):
+            with pytest.raises(BudgetError, match=rf"2\*\*{n} sets x 2\*\*{n} entries"):
+                cp3_total(x1, unit, n)
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 8 * 8)
+        assert cp3_total(x1, bu, 3).total == 4
+        assert sep_sets(x1, bu, 3) == [frozenset({1})]
+        assert algebra_n_complexity(bu, 3).total == 2714
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 8 * 8 - 1)
+        message = r"2\*\*3 sets x 2\*\*3 entries, budget is 63$"
+        for call in (cp3_total, sep_sets):
+            with pytest.raises(BudgetError, match=message):
+                call(x1, bu, 3)
+        with pytest.raises(BudgetError, match=message):
+            algebra_n_complexity(bu, 3)
+
 
 class TestValueSet:
     def test_constant(self, bu):
@@ -249,16 +280,7 @@ class TestCloneLevel:
         assert listing(clone_level(alg, n)) == oracle.brute_clone(alg, n)
 
     def test_wide_lanes(self):
-        # 7**3 operation-table indices and 257 carrier values do not fit
-        # in one byte per entry
-        sum7 = FiniteAlgebra(
-            "sum7",
-            7,
-            (Operation("s", 3, tuple(sum(t) % 7 for t in product(range(7), repeat=3))),),
-        )
-        succ257 = FiniteAlgebra(
-            "succ257", 257, (Operation("succ", 1, tuple((a + 1) % 257 for a in range(257))),)
-        )
+        sum7, succ257 = wide_lane_algebras()
         for alg, size in ((sum7, 7), (succ257, 257)):
             clone = clone_level(alg, 1)
             assert clone.size == size

@@ -30,17 +30,47 @@ def test_essential_mask_against_oracle():
 
 def test_restrict_against_oracle():
     rng = random.Random(303)
-    for k in (2, 3):
-        for arity in (1, 2, 3):
+    for k in (1, 2, 3, 4):
+        for arity in (0, 1, 2, 3, 4):
             size = k**arity
             for _ in range(10):
                 values = tuple(rng.randrange(k) for _ in range(size))
                 npos = rng.randrange(arity + 1)
                 positions = sorted(rng.sample(range(arity), npos))
                 constants = [rng.randrange(k) for _ in positions]
-                got = kernels.restrict(values, k, arity, positions, constants)
                 assigned = {p + 1: c for p, c in zip(positions, constants)}
-                assert got == oracle.brute_restrict(values, k, arity, assigned)
+                expected = oracle.brute_restrict(values, k, arity, assigned)
+                assert kernels.restrict(values, k, arity, positions, constants) == expected
+                for width in (1, 2):
+                    lanes = kernels.pack(values, width)
+                    got = kernels.restrict(lanes, k, arity, positions, constants)
+                    assert isinstance(got, bytes)
+                    assert kernels.unpack(got, width) == expected
+
+
+def test_compose_against_pointwise():
+    rng = random.Random(505)
+    for k, arity, n in ((2, 1, 3), (2, 2, 3), (3, 3, 2), (4, 2, 2), (1, 2, 2)):
+        size = k**n
+        op = tuple(rng.randrange(k) for _ in range(k**arity))
+        args = [tuple(rng.randrange(k) for _ in range(size)) for _ in range(arity)]
+        expected = tuple(
+            op[oracle.idx([a[i] for a in args], k)] for i in range(size)
+        )
+        # any lane at least as wide as the operation-table indices will do
+        for width in (1, 2, 4, 8):
+            lanes = [kernels.pack(a, width) for a in args]
+            got = kernels.compose(op, arity, lanes, k, size)
+            assert kernels.unpack(got, width) == expected
+
+
+def test_lane_width():
+    assert kernels.lane_width(2, ()) == 1
+    assert kernels.lane_width(256, (1,)) == 1
+    assert kernels.lane_width(257, ()) == 2
+    assert kernels.lane_width(7, (1, 3)) == 2
+    assert kernels.lane_width(2, (16,)) == 2
+    assert kernels.lane_width(2, (17,)) == 4
 
 
 def test_cp3_counts_against_oracle():

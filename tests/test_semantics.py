@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from termalg import (
+    BudgetError,
     FunctionTable,
     TermError,
     apply_evaluation,
@@ -24,8 +25,9 @@ from termalg import (
     subalgebra,
     variables,
 )
-from termalg import catalog
+from termalg import algebra, catalog, kernels
 from termalg.algebra import FiniteAlgebra, Operation
+from termalg.terms import Apply, Variable
 
 import oracle
 from helpers import equivalent_bool2_term, random_term
@@ -248,7 +250,11 @@ class TestSubterm:
         alg = getattr(catalog, name)()
         ops, k = oracle.ops_of(alg), alg.carrier_size
         rng = random.Random(97)
-        verdicts = []
+        # t also depends on a variable outside var(s), drawn apart so the
+        # other pairs stay as they were
+        widen = random.Random(98)
+        symbol = min(sym for sym, arity in alg.signature().items() if arity == 2)
+        verdicts, outside_pairs = [], 0
         for round_ in range(60):
             # s may use fewer than n variables, or none at all
             s = random_term(rng, alg, rng.randint(1, n), 3, p_const=0.1)
@@ -264,7 +270,68 @@ class TestSubterm:
                 assert verdict == oracle.brute_is_subterm(t, s, ops, k, n), (t, s)
                 verdicts.append(verdict)
             assert verdicts[-2]
+            outside = sorted(set(range(1, n + 1)) - set(vs))
+            if outside:
+                t = Apply(symbol, (substituted, Variable(widen.choice(outside))))
+                verdict = is_subterm(t, s, alg, n)
+                assert verdict == oracle.brute_is_subterm(t, s, ops, k, n), (t, s)
+                if ess(t, alg, n) - set(vs):
+                    assert not verdict
+                    outside_pairs += 1
         assert not all(verdicts[1::2])
+        assert outside_pairs >= 10
+
+    def test_search_leaves_the_variables_of_t_free(self, bu, monkeypatch):
+        evaluated = []
+        restrict = kernels.restrict
+
+        def counting(values, k, arity, positions, constants):
+            evaluated.append({p + 1 for p in positions})
+            return restrict(values, k, arity, positions, constants)
+
+        monkeypatch.setattr(kernels, "restrict", counting)
+        s = parse(T1, bu)
+        # t depends on every variable of s: only the empty evaluation is left
+        for text, expected in (("+(x3,*(x2,x1))", True), ("+(x1,+(x2,x3))", False)):
+            evaluated.clear()
+            assert is_subterm(parse(text, bu), s, bu, 3) == expected
+            assert evaluated == [set()]
+        rng = random.Random(71)
+        covering = 0
+        for _ in range(60):
+            s = random_term(rng, bu, 4, 3)
+            t = random_term(rng, bu, 4, 3)
+            evaluated.clear()
+            is_subterm(t, s, bu, 4)
+            essential = ess(t, bu, 4)
+            assert not any(m & essential for m in evaluated)
+            if essential >= variables(s):
+                assert len(evaluated) <= 1
+                covering += 1
+        assert covering >= 10
+
+    def test_search_budget(self, bu, monkeypatch):
+        # evaluations of the pruned search, the sum of C(p, m) * k**m over
+        # the sizes m searched, times the k**n table entries
+        chain = "x15"
+        for i in range(14, 0, -1):
+            chain = f"+(x{i},{chain})"
+        message = r"needs up to 3\*\*14 evaluations x 2\*\*15 entries, budget is 100000000$"
+        with pytest.raises(BudgetError, match=message):
+            is_subterm(parse("x1", bu), parse(chain, bu), bu)
+        s = parse(T1, bu)
+        # x1 leaves x2 and x3 to evaluate: 3**2 evaluations
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 9 * 8)
+        assert is_subterm(parse("x1", bu), s, bu, 3)
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 9 * 8 - 1)
+        with pytest.raises(BudgetError, match=r"3\*\*2 evaluations x 2\*\*3 entries, budget is 71$"):
+            is_subterm(parse("x1", bu), s, bu, 3)
+        # a constant leaves all of var(s), of which only proper subsets count
+        monkeypatch.setattr(algebra, "WORK_BUDGET", (27 - 8) * 8)
+        assert is_subterm(parse("#1", bu), s, bu, 3)
+        monkeypatch.setattr(algebra, "WORK_BUDGET", (27 - 8) * 8 - 1)
+        with pytest.raises(BudgetError, match=r"3\*\*3 - 2\*\*3 evaluations x 2\*\*3 entries"):
+            is_subterm(parse("#1", bu), s, bu, 3)
 
     def test_subterm_implies_sep_containment(self, bu):
         rng = random.Random(83)
