@@ -18,6 +18,11 @@ from .terms import Apply, Constant, Term, Variable
 
 TABLE_BUDGET = 1_000_000
 WORK_BUDGET = 100_000_000
+# Per variable set, the cp3 count takes about as long as visiting 2000
+# table entries, however small the table: about 16 us per set on a
+# one-element carrier at arity 14-16 against about 8 ns per entry at
+# k = 2, arity 12-13 (Intel Xeon, 2 vCPU).
+_CP3_SET_FLOOR = 2000
 
 __all__ = [
     "TABLE_BUDGET",
@@ -177,13 +182,8 @@ def projection_table(i: int, n: int, k: int) -> FunctionTable:
     if not 1 <= i <= n:
         raise TermError(f"projection index {i} outside 1..{n}")
     width = kernels.lane_width(k, ())
-    return FunctionTable(n, k, kernels.unpack(_projection_lanes(i, n, k, width), width))
-
-
-def _projection_lanes(i: int, n: int, k: int, width: int) -> bytes:
-    """Lane bytes of the n-ary projection onto the i-th coordinate."""
-    block = b"".join(v.to_bytes(width, "little") * k ** (n - i) for v in range(k))
-    return block * k ** (i - 1)
+    lanes = kernels.projection_lanes(i, n, k, width)
+    return FunctionTable(n, k, kernels.unpack(lanes, width))
 
 
 def constant_table(value: int, n: int, k: int) -> FunctionTable:
@@ -285,14 +285,14 @@ def _check_work(work: int, estimate: str) -> None:
 
 def _check_cp3_work(k: int, n: int) -> None:
     """Budget of cp3 over every variable set of an n-ary table: 2**n
-    sets, each visiting the k**n entries. A one-element carrier is
-    charged as two, since the per-set work and the report, one line per
-    set, do not shrink with its one-entry table."""
+    sets, each visiting the k**n entries but charged at least
+    _CP3_SET_FLOOR of them for its own steps."""
     _table_size(k, n)
-    b = max(k, 2)
+    per_set = max(k**n, _CP3_SET_FLOOR)
+    shown = f"{k}**{n}" if per_set == k**n else str(per_set)
     # from this arity on 2**n alone exceeds the budget
-    work = WORK_BUDGET + 1 if n >= WORK_BUDGET.bit_length() else (2 * b) ** n
-    _check_work(work, f"cp3 over every variable set needs 2**{n} sets x {b}**{n}")
+    work = WORK_BUDGET + 1 if n >= WORK_BUDGET.bit_length() else 2**n * per_set
+    _check_work(work, f"cp3 over every variable set needs 2**{n} sets x {shown}")
 
 
 def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
@@ -315,12 +315,12 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
             if t.index > n:
                 raise TermError(f"variable x{t.index} exceeds context arity {n}")
             if t.index not in projections:
-                projections[t.index] = _projection_lanes(t.index, n, k, width)
+                projections[t.index] = kernels.projection_lanes(t.index, n, k, width)
             return projections[t.index]
         if isinstance(t, Constant):
             if not 0 <= t.value < k:
                 raise TermError(f"constant #{t.value} outside carrier 0..{k - 1}")
-            return t.value.to_bytes(width, "little") * size
+            return kernels.constant_lanes(t.value, size, width)
         if not isinstance(t, Apply):
             raise TermError(f"not a term node: {t!r}")
         op = ops.get(t.symbol)

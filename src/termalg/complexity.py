@@ -19,7 +19,6 @@ from .algebra import (
     FunctionTable,
     induced_operation,
     _check_cp3_work,
-    _projection_lanes,
     _table_size,
 )
 from .errors import BudgetError
@@ -174,7 +173,7 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
 
     def close() -> None:
         for i in range(1, n + 1):
-            values = _projection_lanes(i, n, k, width)
+            values = kernels.projection_lanes(i, n, k, width)
             if values not in seen and add(values, Variable(i)):
                 return
         frontier = 0

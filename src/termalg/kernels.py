@@ -54,11 +54,8 @@ def restrict(values, k, arity, positions, constants):
     into argument positions[j]; those positions become fictitious.
     `values` is a tuple or lane bytes, and the result is of the same
     kind. For each position, every block of k segments (one per digit
-    there) becomes the constant's segment repeated k times. The Python
-    steps per position are the fewer of the blocks and the entries of a
-    block: few blocks are joined slice by slice; many short ones are
-    copied one column at a time, each column of the constant's segment
-    going by an extended slice to the same column of every segment.
+    there) becomes the constant's segment repeated k times, joined
+    slice by slice.
     """
     lanes = isinstance(values, bytes)
     out = values if lanes else tuple(values)
@@ -66,17 +63,8 @@ def restrict(values, k, arity, positions, constants):
     for p, c in zip(positions, constants):
         segment = k ** (arity - 1 - p) * unit
         block = segment * k
-        start = c * segment
-        if block < len(out) // block:
-            res = bytearray(len(out)) if lanes else [0] * len(out)
-            for o in range(segment):
-                column = out[start + o :: block]
-                for d in range(o, block, segment):
-                    res[d::block] = column
-            out = bytes(res) if lanes else tuple(res)
-        else:
-            parts = (out[i : i + segment] * k for i in range(start, len(out), block))
-            out = b"".join(parts) if lanes else tuple(chain.from_iterable(parts))
+        parts = (out[i : i + segment] * k for i in range(c * segment, len(out), block))
+        out = b"".join(parts) if lanes else tuple(chain.from_iterable(parts))
     return out
 
 
@@ -186,6 +174,17 @@ def pack(values, width):
 def unpack(data, width):
     """The value tuple held in lane bytes."""
     return struct.unpack(f"<{len(data) // width}{_LANE_CODES[width]}", data)
+
+
+def projection_lanes(i, n, k, width):
+    """Lane bytes of the n-ary projection onto the i-th coordinate (1-based)."""
+    block = b"".join(v.to_bytes(width, "little") * k ** (n - i) for v in range(k))
+    return block * k ** (i - 1)
+
+
+def constant_lanes(value, size, width):
+    """Lane bytes of a constant table of `size` entries."""
+    return value.to_bytes(width, "little") * size
 
 
 def lookup(table, width):

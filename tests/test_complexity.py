@@ -160,11 +160,23 @@ class TestCp3OfTable:
         # before the closure, which would not end within the clone budget
         with pytest.raises(BudgetError, match=message):
             algebra_n_complexity(bu, 14)
-        # a one-element carrier is charged as two, at any arity
+        # each set is charged at least the per-set floor, so a one-element
+        # carrier runs up to the arity where 2**n sets of the floor exceed
+        # the budget
         unit = FiniteAlgebra("unit", 1, (Operation("f", 1, (0,)),))
-        for n in (14, 10**12):
-            with pytest.raises(BudgetError, match=rf"2\*\*{n} sets x 2\*\*{n} entries"):
+        floor = algebra._CP3_SET_FLOOR
+        top = max(n for n in range(40) if 2**n * floor <= algebra.WORK_BUDGET)
+        assert cp3_total(x1, unit, 3).total == 0
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 2**3 * floor)
+        assert cp3_total(x1, unit, 3).total == 0
+        for n in (top + 1, 10**12):
+            with pytest.raises(BudgetError, match=rf"2\*\*{n} sets x {floor} entries"):
                 cp3_total(x1, unit, n)
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 2**3 * floor - 1)
+        with pytest.raises(BudgetError, match=rf"2\*\*3 sets x {floor} entries"):
+            cp3_total(x1, unit, 3)
+        # below the floor, the table's own entries decide
+        monkeypatch.setattr(algebra, "_CP3_SET_FLOOR", 1)
         monkeypatch.setattr(algebra, "WORK_BUDGET", 8 * 8)
         assert cp3_total(x1, bu, 3).total == 4
         assert sep_sets(x1, bu, 3) == [frozenset({1})]

@@ -1,6 +1,7 @@
 """Kernel-level checks: agreement with the oracle."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -71,6 +72,19 @@ def test_lane_width():
     assert kernels.lane_width(7, (1, 3)) == 2
     assert kernels.lane_width(2, (16,)) == 2
     assert kernels.lane_width(2, (17,)) == 4
+
+
+def test_lane_builders():
+    # first argument most significant, as in every table
+    for k, n in ((1, 0), (1, 3), (2, 0), (2, 3), (3, 2), (257, 2)):
+        width = kernels.lane_width(k, ())
+        for i in range(1, n + 1):
+            expected = tuple(args[i - 1] for args in product(range(k), repeat=n))
+            lanes = kernels.projection_lanes(i, n, k, width)
+            assert kernels.unpack(lanes, width) == expected
+        for value in {0, k - 1}:
+            lanes = kernels.constant_lanes(value, k**n, width)
+            assert kernels.unpack(lanes, width) == (value,) * k**n
 
 
 def test_cp3_counts_against_oracle():
