@@ -133,10 +133,8 @@ class FunctionTable:
             raise AlgebraError(
                 f"table length {len(values)}, expected {k}^{self.arity}"
             )
-        # Below a few hundred entries the scan is as fast as whole-table
-        # passes over types and range; above, the passes decide and the
-        # scan only names the first bad entry.
-        if len(values) < 256 or not (
+        # whole-table passes decide; the scan only names the first bad entry
+        if not (
             all(issubclass(t, int) for t in set(map(type, values)))
             and min(values) >= 0
             and max(values) < k

@@ -19,6 +19,7 @@ from .algebra import (
     FunctionTable,
     induced_operation,
     _check_cp3_work,
+    _check_work,
     _table_size,
 )
 from .errors import BudgetError
@@ -139,8 +140,9 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     Fixpoint rounds: each round composes every basic operation with all
     argument tuples of already-known members that touch the newest layer
     (the members added in the previous round), deduplicating by table.
-    Raises BudgetError once more than `max_size` distinct members appear,
-    and stops as soon as the clone holds all k**(k**n) functions.
+    Raises BudgetError once more than `max_size` distinct members appear
+    or their tables would hold more than WORK_BUDGET entries, and stops
+    as soon as the clone holds all k**(k**n) functions.
 
     Tables are byte strings with one lane of `width` bytes per entry. For
     each prefix of all but the last argument, the last argument runs over
@@ -166,6 +168,10 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
             raise BudgetError(
                 f"clone budget exceeded: more than {max_size} members at arity {n}"
             )
+        _check_work(
+            (len(tables) + 1) * size,
+            f"the closure holds {len(tables) + 1} members x {k}**{n}",
+        )
         seen.add(values)
         tables.append(values)
         witnesses.append(witness)

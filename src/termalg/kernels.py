@@ -1,6 +1,6 @@
-"""Table kernels: essential-variable scan, restriction, cp3 counting and
-pointwise composition. They are pure Python, the only lane; `BACKEND`
-names it.
+"""Table kernels: restriction, pointwise composition, and one axis
+builder that answers both essential variables and cp3 counting. They
+are pure Python, the only lane; `BACKEND` names it.
 
 A table is a flat sequence of carrier values with the first argument
 most significant: the tuple (a1, ..., an) sits at index
@@ -9,7 +9,9 @@ sum(ai * k**(n - i)).
 Tables being built (term tabulation and the clone closure) are lane
 bytes: one little-endian lane of `width` bytes per entry, wide enough
 for every operation-table index the composition forms, so a whole table
-is one integer and composing is one multiply-add and one lookup.
+is one integer and composing is one multiply-add and one lookup. The
+axis builder compares such an integer with its own shifts instead of
+looping over table entries.
 
 Positions are 0-based here; masks carry position p in bit p. The helpers
 at the bottom translate between masks and the public 1-based
@@ -23,28 +25,10 @@ BACKEND = "python"
 
 
 def essential_mask(values, k, arity):
-    """Bitmask of the positions the tabulated function depends on."""
-    if k <= 1 or arity == 0:
-        return 0
-    size = k**arity
-    mask = 0
-    stride = 1
-    for p in range(arity - 1, -1, -1):
-        block = stride * k
-        found = False
-        for outer in range(size // k):
-            base = (outer // stride) * block + (outer % stride)
-            v0 = values[base]
-            for d in range(1, k):
-                if values[base + d * stride] != v0:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            mask |= 1 << p
-        stride = block
-    return mask
+    """Bitmask of the positions the tabulated function depends on: those
+    whose axis flags are nonzero."""
+    axes = _axes(values, k, arity, range(arity))
+    return sum(1 << p for p, (_, flags, _) in enumerate(axes) if flags)
 
 
 def restrict(values, k, arity, positions, constants):
@@ -77,36 +61,52 @@ def cp3_count(values, k, arity, mask):
     if mask >> arity:
         raise ValueError(f"mask {mask:#b} has positions beyond arity {arity}")
     free = [p for p in range(arity) if (mask >> p) & 1]
-    return _count([_axis(values, k, arity, p) for p in free], k)
+    return _count(_moving(values, k, arity, free), k)
 
 
 def cp3_counts(values, k, arity):
     """cp3_count for every mask, as a list indexed by mask; counts[0] is 0.
 
-    The per-position scans are shared by all masks.
+    The per-position axes are shared by all masks.
     """
-    axes = [_axis(values, k, arity, p) for p in range(arity)]
+    axes = _moving(values, k, arity, range(arity))
     counts = [0] * (1 << arity)
     for m in range(1, 1 << arity):
         counts[m] = _count([axes[p] for p in range(arity) if (m >> p) & 1], k)
     return counts
 
 
-def _axis(values, k, arity, p):
-    """(stride, moving) of position p: `moving` is a bitset over table
-    indices with bit i set when the digit of i at p is 0 and the table is
-    not constant along p through i."""
-    stride = k ** (arity - 1 - p)
-    block = stride * k
-    moving = 0
-    for start in range(0, k**arity, block):
-        for i in range(start, start + stride):
-            v0 = values[i]
-            for j in range(i + stride, start + block, stride):
-                if values[j] != v0:
-                    moving |= 1 << i
-                    break
-    return stride, moving
+def _axes(values, k, arity, positions):
+    """Yield (stride, flags, width) for each position p given. In the low
+    byte of each lane i whose digit at p is 0, `flags` is nonzero exactly
+    when the table moves along p through i: lane i differs from lane
+    i + d * stride for some 0 < d < k. Every other byte is zero. Each
+    lane is ORed onto its low byte by shifts of the unfolded difference,
+    so that no byte of the next lane leaks in."""
+    if not isinstance(values, bytes):
+        values = pack(values, lane_width(k, ()))
+    width = len(values) // k**arity
+    x = int.from_bytes(values, "little")
+    for p in positions:
+        stride = k ** (arity - 1 - p)
+        diff = 0
+        for d in range(1, k):
+            diff |= x ^ (x >> 8 * width * d * stride)
+        folded = diff
+        for j in range(1, width):
+            folded |= diff >> 8 * j
+        low = (b"\xff" + bytes(width - 1)) * stride + bytes(width * stride * (k - 1))
+        yield stride, folded & int.from_bytes(low * k**p, "little"), width
+
+
+def _moving(values, k, arity, positions):
+    """(stride, moving) of each position given: `moving` is the bitset of
+    the indices whose low byte `_axes` flags."""
+    axes = []
+    for stride, flags, width in _axes(values, k, arity, positions):
+        low = flags.to_bytes(k**arity * width, "little")[::width]
+        axes.append((stride, int(low.translate(b"0" + b"1" * 255)[::-1], 2)))
+    return axes
 
 
 def _count(axes, k):

@@ -21,7 +21,7 @@ from .algebra import (
     _check_work,
 )
 from .errors import TermError
-from .terms import Apply, Constant, Term, Variable, max_variable, variables
+from .terms import Term, max_variable, rename_variables, variables
 
 __all__ = [
     "essential_vars",
@@ -60,14 +60,6 @@ def satisfies_identity(alg: FiniteAlgebra, s: Term, t: Term, n: Optional[int] = 
     return induced_operation(s, alg, n).values == induced_operation(t, alg, n).values
 
 
-def _rename_variable(term: Term, src: int, dst: int) -> Term:
-    if isinstance(term, Variable):
-        return Variable(dst) if term.index == src else term
-    if isinstance(term, Constant):
-        return term
-    return Apply(term.symbol, tuple(_rename_variable(c, src, dst) for c in term.children))
-
-
 def ess_via_lemma35(term: Term, alg: FiniteAlgebra, n: int, i: int) -> bool:
     """Essentiality of x_i decided through identity failure.
 
@@ -77,7 +69,9 @@ def ess_via_lemma35(term: Term, alg: FiniteAlgebra, n: int, i: int) -> bool:
     """
     if not 1 <= i <= n:
         raise TermError(f"variable index {i} outside 1..{n}")
-    renamed = _rename_variable(term, i, n + 1)
+    # x_{n+1} does not occur in the term, so swapping it with x_i renames x_i
+    swap = {**{v: v for v in variables(term)}, i: n + 1, n + 1: i}
+    renamed = rename_variables(term, swap)
     return not satisfies_identity(alg, term, renamed, n + 1)
 
 

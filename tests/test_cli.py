@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from termalg import catalog, dump_algebra
+from termalg import algebra, catalog, dump_algebra
 from termalg.cli import main
 
 T1 = "+(*(x1,x2),x3)"
@@ -264,6 +264,15 @@ class TestWorkBudget:
         assert code == 1
         assert out == ""
         assert f"{estimate} entries, budget is 100000000" in err
+
+    def test_closure_over_budget(self, capsys, monkeypatch, bu_path):
+        # under the real budget `clone --arity 14` stops the same way, after
+        # 6103 members of 2**14 entries and a few seconds
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 1000)
+        code, out, err = run(capsys, "clone", bu_path, "--arity", "3")
+        assert code == 1
+        assert out == ""
+        assert "the closure holds 126 members x 2**3 entries, budget is 1000" in err
 
 
 class TestUsage:

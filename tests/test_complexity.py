@@ -146,7 +146,7 @@ class TestCp3OfTable:
                 assert report.total == total
                 assert dict(report.per_set) == per
 
-    def test_work_budget(self, bu, monkeypatch):
+    def test_work_budget(self, bu, sl, monkeypatch):
         # 2**n sets, each visiting the k**n entries, checked before counting
         x1 = parse("x1", bu)
         message = (
@@ -180,7 +180,11 @@ class TestCp3OfTable:
         monkeypatch.setattr(algebra, "WORK_BUDGET", 8 * 8)
         assert cp3_total(x1, bu, 3).total == 4
         assert sep_sets(x1, bu, 3) == [frozenset({1})]
-        assert algebra_n_complexity(bu, 3).total == 2714
+        # the closure is charged its members' entries too: semilattice2's
+        # 7 members at arity 3 fit in this budget, bool2's 256 do not
+        members, _ = oracle.brute_clone(sl, 3)
+        total = sum(oracle.brute_cp3_report(t, 2, 3)[1] for t in members)
+        assert algebra_n_complexity(sl, 3).total == total
         monkeypatch.setattr(algebra, "WORK_BUDGET", 8 * 8 - 1)
         message = r"2\*\*3 sets x 2\*\*3 entries, budget is 63$"
         for call in (cp3_total, sep_sets):
@@ -260,6 +264,17 @@ class TestCloneLevel:
 
     def test_budget_equal_to_clone_size_is_enough(self, bu):
         assert clone_level(bu, 3, max_size=256).size == 256
+
+    def test_work_budget(self, bu, monkeypatch):
+        # each new member is charged, before it is added, the entries of
+        # every member so far and its own: (members + 1) x k**n
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 256 * 8)
+        assert clone_level(bu, 3).size == 256
+        for budget, members in ((256 * 8 - 1, 256), (10 * 8, 11), (11 * 8 - 1, 11)):
+            monkeypatch.setattr(algebra, "WORK_BUDGET", budget)
+            message = f"the closure holds {members} members x 2**3 entries, budget is {budget}"
+            with pytest.raises(BudgetError, match=re.escape(message)):
+                clone_level(bu, 3)
 
     def test_table_budget_checked_before_the_closure(self, bu, mod3, monkeypatch):
         with pytest.raises(BudgetError, match=r"needs 2\*\*26 entries, budget is 1000000"):

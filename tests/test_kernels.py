@@ -13,10 +13,28 @@ import oracle
 def random_cases(seed, count=10):
     rng = random.Random(seed)
     for k in (1, 2, 3, 4):
-        for arity in (0, 1, 2, 3):
+        for arity in (0, 1, 2, 3, 4):
             size = k**arity
             for _ in range(count):
                 yield k, arity, tuple(rng.randrange(k) for _ in range(size))
+
+
+def table_forms(values, k):
+    """The table as a value tuple and as lane bytes of every width that
+    holds its values; width 4 is where a fold of lanes onto their low
+    byte would leak the next lane's bytes."""
+    yield values
+    for width in (1, 2, 4, 8):
+        if width >= kernels.lane_width(k, ()):
+            yield kernels.pack(values, width)
+
+
+def wide_table(rng, arity, k=257):
+    """A table over k = 257 elements, mostly 0 with a few entries of 256
+    and above, so that some rows and columns stay constant."""
+    return tuple(
+        rng.choice((256, k - 1, 1)) if rng.random() < 0.01 else 0 for _ in range(k**arity)
+    )
 
 
 def test_backend_reported():
@@ -25,8 +43,38 @@ def test_backend_reported():
 
 def test_essential_mask_against_oracle():
     for k, arity, values in random_cases(202, count=8):
-        mask = kernels.essential_mask(values, k, arity)
-        assert kernels.indices_of_mask(mask) == oracle.brute_ess(values, k, arity)
+        expected = oracle.brute_ess(values, k, arity)
+        for table in table_forms(values, k):
+            mask = kernels.essential_mask(table, k, arity)
+            assert kernels.indices_of_mask(mask) == expected
+
+
+def test_essential_mask_wide_carrier():
+    rng = random.Random(206)
+    for _ in range(4):
+        values = wide_table(rng, 1)
+        expected = oracle.brute_ess(values, 257, 1)
+        for table in table_forms(values, 257):
+            assert kernels.indices_of_mask(kernels.essential_mask(table, 257, 1)) == expected
+    # at arity 2 brute_ess visits 257**3 pairs, so the reference is its
+    # definition read off the rows and columns
+    for _ in range(2):
+        values = wide_table(rng, 2)
+        rows = [values[r * 257 : (r + 1) * 257] for r in range(257)]
+        columns = [values[c::257] for c in range(257)]
+        expected = {
+            i
+            for i, lines in ((1, columns), (2, rows))
+            if any(len(set(line)) > 1 for line in lines)
+        }
+        for table in table_forms(values, 257):
+            assert kernels.indices_of_mask(kernels.essential_mask(table, 257, 2)) == expected
+
+
+def test_essential_mask_one_moving_position_at_arity_16():
+    values = tuple(i >> 15 for i in range(2**16))
+    for table in table_forms(values, 2):
+        assert kernels.essential_mask(table, 2, 16) == 1
 
 
 def test_restrict_against_oracle():
@@ -89,20 +137,49 @@ def test_lane_builders():
 
 def test_cp3_counts_against_oracle():
     rng = random.Random(404)
-    shapes = [(k, arity) for k in (1, 2, 3, 4) for arity in (0, 1, 2, 3)] + [(2, 4)]
+    shapes = [(k, arity) for k in (1, 2, 3, 4) for arity in (0, 1, 2, 3, 4)]
     for k, arity in shapes:
-        # skewed tables leave some positions fictitious in many restrictions
-        for pool in (list(range(k)), [0, 0, 0] + list(range(k))):
-            for _ in range(3):
+        # skewed tables leave some positions fictitious in many restrictions;
+        # at k = 4, arity 4 the oracle takes over a second per table
+        pools = ([0, 0, 0] + list(range(k)), list(range(k)))
+        for pool in pools[: 1 if k**arity > 81 else 2]:
+            for _ in range(1 if k**arity > 81 else 3):
                 values = tuple(rng.choice(pool) for _ in range(k**arity))
-                counts = kernels.cp3_counts(values, k, arity)
                 per, total = oracle.brute_cp3_report(values, k, arity)
-                assert sum(counts) == total
-                for subset, expected in per.items():
-                    mask = kernels.mask_of_indices(subset)
-                    assert counts[mask] == expected
-                    assert kernels.cp3_count(values, k, arity, mask) == expected
-                assert counts[0] == kernels.cp3_count(values, k, arity, 0) == 0
+                for table in table_forms(values, k):
+                    check_cp3_counts(table, k, arity, per, total)
+
+
+def test_cp3_counts_wide_carrier():
+    rng = random.Random(408)
+    for _ in range(4):
+        values = wide_table(rng, 1)
+        per, total = oracle.brute_cp3_report(values, 257, 1)
+        for table in table_forms(values, 257):
+            check_cp3_counts(table, 257, 1, per, total)
+    # at arity 2 the oracle visits 257**4 entries; by definition {1} counts
+    # the columns that move, {2} the rows, and {1, 2} is 1 when both do
+    for _ in range(2):
+        values = wide_table(rng, 2)
+        rows = sum(len(set(values[r * 257 : (r + 1) * 257])) > 1 for r in range(257))
+        columns = sum(len(set(values[c::257])) > 1 for c in range(257))
+        per = {
+            frozenset({1}): columns,
+            frozenset({2}): rows,
+            frozenset({1, 2}): int(rows > 0 and columns > 0),
+        }
+        for table in table_forms(values, 257):
+            check_cp3_counts(table, 257, 2, per, sum(per.values()))
+
+
+def check_cp3_counts(table, k, arity, per, total):
+    counts = kernels.cp3_counts(table, k, arity)
+    assert sum(counts) == total
+    for subset, expected in per.items():
+        mask = kernels.mask_of_indices(subset)
+        assert counts[mask] == expected
+        assert kernels.cp3_count(table, k, arity, mask) == expected
+    assert counts[0] == kernels.cp3_count(table, k, arity, 0) == 0
 
 
 def test_cp3_count_rejects_positions_beyond_arity():
