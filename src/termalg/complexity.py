@@ -10,7 +10,10 @@ of an algebra.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress
 from typing import Iterable, Mapping, Optional
 
 from . import kernels
@@ -122,16 +125,25 @@ class CloneLevel:
     `witnesses[i]` is a term inducing `members[i]`. The order is the same
     whether the closure ran to its fixpoint or stopped early because it
     held every function.
+
+    `tables` holds the members as the closure built them, lane bytes of
+    `width` bytes per entry; `members` unpacks them on first use.
     """
 
     arity: int
     carrier_size: int
-    members: tuple
+    tables: tuple
+    width: int
     witnesses: tuple
+
+    @cached_property
+    def members(self) -> tuple:
+        k, n, width = self.carrier_size, self.arity, self.width
+        return tuple(FunctionTable(n, k, kernels.unpack(t, width)) for t in self.tables)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.tables)
 
 
 def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> CloneLevel:
@@ -140,22 +152,35 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     Fixpoint rounds: each round composes every basic operation with all
     argument tuples of already-known members that touch the newest layer
     (the members added in the previous round), deduplicating by table.
+    A commutative binary operation skips each (a, b) with b < a: it
+    equals (b, a), which touches the newest layer through a and came
+    earlier in the same round, so it is never new.
     Raises BudgetError once more than `max_size` distinct members appear
     or their tables would hold more than WORK_BUDGET entries, and stops
     as soon as the clone holds all k**(k**n) functions.
+    """
+    width = kernels.lane_width(alg.carrier_size, [op.arity for op in alg.operations])
+    tables, witnesses = _closure(alg, n, width, max_size)
+    return CloneLevel(n, alg.carrier_size, tuple(tables), width, tuple(witnesses))
 
-    Tables are byte strings with one lane of `width` bytes per entry. For
-    each prefix of all but the last argument, the last argument runs over
-    a whole block of members at once: one little-endian integer holds
-    the block's tables, and adding the prefix's lanes, scaled by k and
-    repeated by a repunit, puts the operation-table index of every entry
-    of every candidate in its own lane, which is below 256**width so no
-    lane carries. One table lookup over the bytes then yields all the
-    composed tables, in the order the argument tuples come in.
+
+def _closure(alg, n, width, max_size):
+    """(tables, witnesses) of the n-ary clone in discovery order, the
+    tables as lane bytes of `width` bytes per entry.
+
+    For each prefix of all but the last argument, the last argument runs
+    over a whole block of members at once. One little-endian integer
+    holds the block's tables; adding the prefix's lanes scaled by k,
+    their bytes repeated once per table, puts the operation-table index
+    of every entry of every candidate in its own lane, which is below
+    256**width so no lane carries. One table lookup over the bytes then
+    yields all the composed tables, in the order the argument tuples
+    come in. A block is split into its tables at C speed and deduplicated
+    by one set difference against the known tables; when some are new,
+    one pass over the block picks them out in block order.
     """
     k = alg.carrier_size
     size = _table_size(k, n)
-    width = kernels.lane_width(k, [op.arity for op in alg.operations])
     step = size * width
     everything = k**size
     tables: list[bytes] = []
@@ -177,49 +202,50 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
         witnesses.append(witness)
         return len(tables) == everything
 
-    def close() -> None:
-        for i in range(1, n + 1):
-            values = kernels.projection_lanes(i, n, k, width)
-            if values not in seen and add(values, Variable(i)):
-                return
-        frontier = 0
-        while frontier < len(tables):
-            known = len(tables)
-            every = _block(tables, 0, step)
-            fresh = _block(tables, frontier, step)
-            for op in alg.operations:
-                lookup = kernels.lookup(op.table, width)
-                for prefix, prefix_lanes in _prefixes(tables, op.arity - 1, k, known):
-                    # tuples made only of older members were composed before
-                    old = max(prefix, default=-1) < frontier
-                    first, blob, repunit = fresh if old else every
-                    combined = prefix_lanes * k * repunit + blob
-                    out = lookup(combined.to_bytes((known - first) * step, "little"))
-                    for j in range(0, len(out), step):
-                        values = out[j : j + step]
-                        if values in seen:
-                            continue
-                        args = prefix + (first + j // step,)
-                        witness = Apply(op.symbol, tuple(witnesses[a] for a in args))
-                        if add(values, witness):
-                            return
-            frontier = known
-
-    close()
-    members = tuple(FunctionTable(n, k, kernels.unpack(t, width)) for t in tables)
-    return CloneLevel(n, k, members, tuple(witnesses))
-
-
-def _block(tables, first, step):
-    """(first, blob, repunit) for the members from index `first` on: the
-    blob holds their tables as one little-endian integer, and the repunit
-    has a 1 in the lowest lane of each table."""
-    unit = b"\x01" + bytes(step - 1)
-    return (
-        first,
-        int.from_bytes(b"".join(tables[first:]), "little"),
-        int.from_bytes(unit * (len(tables) - first), "little"),
-    )
+    for i in range(1, n + 1):
+        values = kernels.projection_lanes(i, n, k, width)
+        if values not in seen and add(values, Variable(i)):
+            return tables, witnesses
+    frontier = 0
+    while frontier < len(tables):
+        known = len(tables)
+        # the tables of all members, and of the newest layer, as integers
+        every = int.from_bytes(b"".join(tables), "little")
+        fresh = every >> 8 * step * frontier
+        for op in alg.operations:
+            lookup = kernels.lookup(op.table, width)
+            # its table equals its transpose
+            commutes = op.arity == 2 and op.table == tuple(
+                chain.from_iterable(op.table[b::k] for b in range(k))
+            )
+            for prefix, prefix_lanes in _prefixes(tables, op.arity - 1, k, known):
+                # tuples made only of older members were composed before,
+                # and for a commutative operation (a, b) with b < a is (b, a)
+                last = max(prefix, default=-1)
+                first = frontier if last < frontier else last if commutes else 0
+                blob = fresh if first == frontier else every >> 8 * step * first
+                count = known - first
+                # each whole-block copy is dropped once the next one exists
+                data = (prefix_lanes * k).to_bytes(step, "little") * count
+                data = int.from_bytes(data, "little")
+                data += blob
+                data = lookup(data.to_bytes(count * step, "little"))
+                # a fresh Struct: struct.unpack would cache one compiled
+                # format, 32 bytes per table, for each block size it sees
+                chunks = struct.Struct(f"{step}s" * count).unpack(data)
+                del data
+                novel = set(chunks).difference(seen)
+                if not novel:
+                    continue
+                for j in compress(range(count), map(novel.__contains__, chunks)):
+                    if chunks[j] in seen:
+                        continue  # a new table repeated within the block
+                    args = prefix + (first + j,)
+                    witness = Apply(op.symbol, tuple(witnesses[a] for a in args))
+                    if add(chunks[j], witness):
+                        return tables, witnesses
+        frontier = known
+    return tables, witnesses
 
 
 def _prefixes(tables, depth, k, known):
@@ -271,8 +297,8 @@ def algebra_n_complexity(
     clone = clone_level(alg, n, max_size)
     buckets: dict[int, int] = {}
     total = 0
-    for member in clone.members:
-        t = sum(kernels.cp3_counts(member.values, k, n))
+    for table in clone.tables:
+        t = sum(kernels.cp3_counts(table, k, n))
         total += t
         buckets[t] = buckets.get(t, 0) + 1
     histogram = {c: buckets[c] for c in sorted(buckets, reverse=True)}

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,9 @@ from termalg import (
     transport_algebra,
     value_set,
 )
-from termalg import algebra, catalog
+from termalg import algebra, catalog, kernels
 from termalg.algebra import FiniteAlgebra, Operation
+from termalg.terms import Apply
 
 import oracle
 from helpers import equivalent_bool2_term, random_term, wide_lane_algebras
@@ -210,6 +212,13 @@ def listing(clone):
     return [m.values for m in clone.members], [print_term(w) for w in clone.witnesses]
 
 
+def _depth(term):
+    """Height of a term: 0 for a variable."""
+    if isinstance(term, Apply):
+        return 1 + max(_depth(c) for c in term.children)
+    return 0
+
+
 @st.composite
 def small_algebras(draw):
     """A random algebra with k <= 3, one to three operations of arity 1-3,
@@ -218,6 +227,9 @@ def small_algebras(draw):
     ops = []
     for i, r in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))):
         table = draw(st.lists(st.integers(0, k - 1), min_size=k**r, max_size=k**r))
+        if r == 2 and draw(st.booleans()):
+            # symmetric, so the closure skips commuted argument tuples
+            table = [table[max(a, b) * k + min(a, b)] for a in range(k) for b in range(k)]
         ops.append(Operation(f"f{i}", r, tuple(table)))
     n = draw(st.integers(0, {1: 3, 2: 2, 3: 1}[k]))
     return FiniteAlgebra("random", k, tuple(ops)), n
@@ -254,13 +266,22 @@ class TestCloneLevel:
         for member, witness in zip(clone.members, clone.witnesses):
             assert induced_operation(witness, bu, 3) == member
 
-    def test_budget_error(self, bu):
+    def test_budget_error(self, bu, chain3):
         # 2 stops among the projections; 5 at the third slot of the block
         # for +(x1, .), after two members from that same block
         for max_size in (2, 5, 10, 255):
             message = f"clone budget exceeded: more than {max_size} members at arity 3"
             with pytest.raises(BudgetError, match=re.escape(message)):
                 clone_level(bu, 3, max_size=max_size)
+        # chain3 at arity 4 has 166 members; 17 stops at the second of six
+        # new tables in the block for min(x1, .), 90 at the seventh of 14
+        # in a later block, 165 at the last member
+        full = listing(clone_level(chain3, 4))
+        for max_size in (17, 90, 165):
+            message = f"clone budget exceeded: more than {max_size} members at arity 4"
+            with pytest.raises(BudgetError, match=re.escape(message)):
+                clone_level(chain3, 4, max_size=max_size)
+        assert listing(clone_level(chain3, 4, max_size=166)) == full
 
     def test_budget_equal_to_clone_size_is_enough(self, bu):
         assert clone_level(bu, 3, max_size=256).size == 256
@@ -299,6 +320,50 @@ class TestCloneLevel:
     def test_matches_reference_order(self, name, n):
         alg = getattr(catalog, name)()
         assert listing(clone_level(alg, n)) == oracle.brute_clone(alg, n)
+
+    @pytest.mark.parametrize(
+        "alg, n",
+        [
+            (FiniteAlgebra("implication", 2, (Operation("imp", 2, (1, 1, 0, 1)),)), 3),
+            (
+                FiniteAlgebra(
+                    "difference",
+                    3,
+                    (Operation("sub", 2, tuple((a - b) % 3 for a in range(3) for b in range(3))),),
+                ),
+                2,
+            ),
+        ],
+    )
+    def test_non_commutative_operations_match_reference_order(self, alg, n):
+        # the commuted tuples of these operations give new members
+        assert listing(clone_level(alg, n)) == oracle.brute_clone(alg, n)
+
+    def test_commuted_tuples_are_skipped(self, chain3, monkeypatch):
+        # min and max commute: prefix a takes last arguments from a on, so
+        # a round with f members before its newest layer and d in it
+        # composes f*d + d*(d+1)/2 pairs per operation instead of
+        # (f+d)**2 - f**2
+        composed = []
+        lookup = kernels.lookup
+
+        def counting(table, width):
+            apply = lookup(table, width)
+            return lambda data: composed.append(len(data)) or apply(data)
+
+        monkeypatch.setattr(kernels, "lookup", counting)
+        clone = clone_level(chain3, 3)
+        # a member's round is the depth of its witness; one more round adds
+        # nothing
+        depths = [_depth(w) for w in clone.witnesses]
+        skipped = unskipped = 0
+        for r in range(1, max(depths) + 2):
+            f = sum(1 for depth in depths if depth < r - 1)
+            d = sum(1 for depth in depths if depth == r - 1)
+            skipped += 2 * (f * d + d * (d + 1) // 2)
+            unskipped += 2 * ((f + d) ** 2 - f**2)
+        assert sum(composed) == skipped * 27
+        assert skipped <= 0.55 * unskipped
 
     @given(small_algebras())
     @settings(max_examples=150, deadline=None)
@@ -374,6 +439,16 @@ class TestCensus:
             census = algebra_n_complexity(alg, n)
             assert sum(census.histogram.values()) == census.clone_size
             assert sum(c * v for c, v in census.histogram.items()) == census.total
+
+    def test_wide_lanes_match_oracle(self):
+        # the census counts cp3 straight from the closure's two-byte lanes
+        sum7, _ = wide_lane_algebras()
+        members, _ = oracle.brute_clone(sum7, 1)
+        totals = [oracle.brute_cp3_report(t, 7, 1)[1] for t in members]
+        census = algebra_n_complexity(sum7, 1)
+        assert census.clone_size == len(members)
+        assert census.total == sum(totals)
+        assert dict(census.histogram) == dict(Counter(totals))
 
     def test_json_round_trip(self, bu):
         census = algebra_n_complexity(bu, 2)
