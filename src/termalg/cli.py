@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import complexity, semantics, terms
+from . import complexity, kernels, semantics, terms
 from .algebra import induced_operation, load_algebra
 from .errors import TermAlgError
 
@@ -216,6 +216,8 @@ def _cmd_census(args) -> int:
 def _cmd_clone(args) -> int:
     alg = load_algebra(args.algebra)
     clone = complexity.clone_level(alg, args.arity, args.max_clone_size)
+    # the closure built these tables, so they need no FunctionTable check
+    values = (list(kernels.unpack(t, clone.width)) for t in clone.tables)
     if args.json:
         doc = {
             "algebra": alg.name,
@@ -224,15 +226,15 @@ def _cmd_clone(args) -> int:
         }
         if args.list:
             doc["members"] = [
-                {"values": list(m.values), "witness": terms.print_term(w)}
-                for m, w in zip(clone.members, clone.witnesses)
+                {"values": v, "witness": terms.print_term(w)}
+                for v, w in zip(values, clone.witnesses)
             ]
         print(json.dumps(doc, indent=2))
         return 0
     print(f"clone of {alg.name} at arity {clone.arity}: {clone.size} members")
     if args.list:
-        for i, (m, w) in enumerate(zip(clone.members, clone.witnesses)):
-            print(f"  {i}: {list(m.values)}  <-  {terms.print_term(w)}")
+        for i, (v, w) in enumerate(zip(values, clone.witnesses)):
+            print(f"  {i}: {v}  <-  {terms.print_term(w)}")
     return 0
 
 

@@ -291,14 +291,22 @@ class AlgebraCensus:
 def algebra_n_complexity(
     alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET
 ) -> AlgebraCensus:
-    """Sum cp3 over every n-ary clone member, grouping members by total."""
+    """Sum cp3 over every n-ary clone member, grouping members by total.
+
+    One table's count is checked before the closure; once the clone is
+    known, the count over all its members is charged in full.
+    """
     k = alg.carrier_size
     _check_cp3_work(k, n)
     clone = clone_level(alg, n, max_size)
+    _check_work(
+        (2**n - 1) * clone.size * k**n,
+        f"the census's cp3 needs 2**{n} - 1 sets x {clone.size} members x {k}**{n}",
+    )
+    blob = int.from_bytes(b"".join(clone.tables), "little")
     buckets: dict[int, int] = {}
     total = 0
-    for table in clone.tables:
-        t = sum(kernels.cp3_counts(table, k, n))
+    for t in kernels.cp3_totals(blob, clone.size, k, n, clone.width):
         total += t
         buckets[t] = buckets.get(t, 0) + 1
     histogram = {c: buckets[c] for c in sorted(buckets, reverse=True)}

@@ -11,7 +11,10 @@ bytes: one little-endian lane of `width` bytes per entry, wide enough
 for every operation-table index the composition forms, so a whole table
 is one integer and composing is one multiply-add and one lookup. The
 axis builder compares such an integer with its own shifts instead of
-looping over table entries.
+looping over table entries. It does the same for many tables joined
+into one integer, the table index acting as one more digit above the
+others, so `cp3_totals` counts a whole clone in one pass per mask along
+the path that `cp3_count` and `cp3_counts` take for one table.
 
 Positions are 0-based here; masks carry position p in bit p. The helpers
 at the bottom translate between masks and the public 1-based
@@ -20,6 +23,7 @@ variable-index sets.
 
 import struct
 from itertools import chain
+from operator import add
 
 BACKEND = "python"
 
@@ -27,8 +31,8 @@ BACKEND = "python"
 def essential_mask(values, k, arity):
     """Bitmask of the positions the tabulated function depends on: those
     whose axis flags are nonzero."""
-    axes = _axes(values, k, arity, range(arity))
-    return sum(1 << p for p, (_, flags, _) in enumerate(axes) if flags)
+    axes = _axes(*_lanes(values, k, arity), k, arity, range(arity))
+    return sum(1 << p for p, (_, flags) in enumerate(axes) if flags)
 
 
 def restrict(values, k, arity, positions, constants):
@@ -61,7 +65,7 @@ def cp3_count(values, k, arity, mask):
     if mask >> arity:
         raise ValueError(f"mask {mask:#b} has positions beyond arity {arity}")
     free = [p for p in range(arity) if (mask >> p) & 1]
-    return _count(_moving(values, k, arity, free), k)
+    return _kept(_moving(*_lanes(values, k, arity), k, arity, free), k).bit_count()
 
 
 def cp3_counts(values, k, arity):
@@ -69,24 +73,60 @@ def cp3_counts(values, k, arity):
 
     The per-position axes are shared by all masks.
     """
-    axes = _moving(values, k, arity, range(arity))
+    axes = _moving(*_lanes(values, k, arity), k, arity, range(arity))
     counts = [0] * (1 << arity)
     for m in range(1, 1 << arity):
-        counts[m] = _count([axes[p] for p in range(arity) if (m >> p) & 1], k)
+        counts[m] = _kept([axes[p] for p in range(arity) if (m >> p) & 1], k).bit_count()
     return counts
 
 
-def _axes(values, k, arity, positions):
-    """Yield (stride, flags, width) for each position p given. In the low
-    byte of each lane i whose digit at p is 0, `flags` is nonzero exactly
-    when the table moves along p through i: lane i differs from lane
-    i + d * stride for some 0 < d < k. Every other byte is zero. Each
-    lane is ORed onto its low byte by shifts of the unfolded difference,
-    so that no byte of the next lane leaks in."""
+def cp3_totals(blob, count, k, arity, width):
+    """The cp3 total of each of `count` tables joined into one integer,
+    lane bytes of `width` bytes per entry with the first table lowest.
+
+    The table index acts as one more fixed digit above the others, so
+    one pass per mask counts every table. Each mask's kept bits are
+    added into an accumulator of one byte per index; since a byte holds
+    at most 255, it is flushed into the totals every 255 masks, each
+    table summing its k**arity bytes.
+    """
+    size = k**arity
+    totals = [0] * count
+    if not count:
+        return totals
+    axes = _moving(blob, width, k, arity, range(arity), count)
+    acc = 0
+    for m in range(1, 1 << arity):
+        kept = _kept([axes[p] for p in range(arity) if (m >> p) & 1], k)
+        acc += int.from_bytes(format(kept, "b")[::-1].encode().translate(_BIT_BYTES), "little")
+        if m % 255 == 0 or m == (1 << arity) - 1:
+            data = acc.to_bytes(count * size, "little")
+            sums = map(sum, (data[i : i + size] for i in range(0, len(data), size)))
+            totals = list(map(add, totals, sums))
+            acc = 0
+    return totals
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _lanes(values, k, arity):
+    """(integer, lane width) of a table given as a value tuple or as
+    lane bytes."""
     if not isinstance(values, bytes):
         values = pack(values, lane_width(k, ()))
-    width = len(values) // k**arity
-    x = int.from_bytes(values, "little")
+    return int.from_bytes(values, "little"), len(values) // k**arity
+
+
+def _axes(x, width, k, arity, positions, count=1):
+    """Yield (stride, flags) for each position p given, over `count`
+    tables of lane bytes joined into the integer x. In the low byte of
+    each lane i whose digit at p is 0, `flags` is nonzero exactly when
+    the table moves along p through i: lane i differs from lane
+    i + d * stride for some 0 < d < k, which lies in the same table.
+    Every other byte is zero. Each lane is ORed onto its low byte by
+    shifts of the unfolded difference, so that no byte of the next lane
+    leaks in."""
     for p in positions:
         stride = k ** (arity - 1 - p)
         diff = 0
@@ -96,28 +136,29 @@ def _axes(values, k, arity, positions):
         for j in range(1, width):
             folded |= diff >> 8 * j
         low = (b"\xff" + bytes(width - 1)) * stride + bytes(width * stride * (k - 1))
-        yield stride, folded & int.from_bytes(low * k**p, "little"), width
+        yield stride, folded & int.from_bytes(low * (k**p * count), "little")
 
 
-def _moving(values, k, arity, positions):
+def _moving(x, width, k, arity, positions, count=1):
     """(stride, moving) of each position given: `moving` is the bitset of
     the indices whose low byte `_axes` flags."""
     axes = []
-    for stride, flags, width in _axes(values, k, arity, positions):
-        low = flags.to_bytes(k**arity * width, "little")[::width]
+    for stride, flags in _axes(x, width, k, arity, positions, count):
+        low = flags.to_bytes(k**arity * count * width, "little")[::width]
         axes.append((stride, int(low.translate(b"0" + b"1" * 255)[::-1], 2)))
     return axes
 
 
-def _count(axes, k):
-    """The cp3 count of the mask whose free positions have these axes.
+def _kept(axes, k):
+    """The indices that count for the mask whose free positions have
+    these axes, as a bitset: the cp3 count is its size.
 
     A free position is essential in the restriction to an assignment q
     of the fixed positions when its `moving` bitset meets the indices
     that agree with q. OR-ing the shifts of `moving` down by d * stride,
     0 <= d < k, for each other free position moves such a bit to the
-    index of q with all free digits 0. The count is the number of those
-    bits that every free position sets.
+    index of q with all free digits 0. The kept bits are those that
+    every free position sets.
 
     Shifts that borrow across digits set other bits too, but none
     survives the AND. At such an index j, let a be the lowest free
@@ -134,7 +175,7 @@ def _count(axes, k):
                 for _ in range(k - 1):
                     bits |= bits >> stride
         kept &= bits
-    return kept.bit_count()
+    return kept
 
 
 def compose(op_values, op_arity, args, k, size):

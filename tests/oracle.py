@@ -7,6 +7,7 @@ cp3 counts come from nested loops over subsets and constant assignments.
 """
 
 from itertools import combinations, product
+from math import comb
 
 from termalg.terms import Apply, Constant, Variable
 
@@ -123,6 +124,24 @@ def brute_census_all_functions(k, n):
         hist[t] = hist.get(t, 0) + 1
         total += t
     return total, hist
+
+
+def census_total_all_functions(k, n):
+    """Closed form of the cp3 total summed over every n-ary function on
+    k elements. For each set M of m variables and each of the k**(n-m)
+    assignments outside M, it counts the functions whose restriction
+    depends on exactly M: E(k, m) choices of the restriction times any
+    values on the other k**n - k**m entries. E(k, m), the m-ary
+    functions that depend on all m variables, is the inclusion-exclusion
+    over the variables they may ignore."""
+
+    def essential_on_all(m):
+        return sum((-1) ** (m - j) * comb(m, j) * k ** (k**j) for j in range(m + 1))
+
+    return sum(
+        comb(n, m) * k ** (n - m) * essential_on_all(m) * k ** (k**n - k**m)
+        for m in range(1, n + 1)
+    )
 
 
 def brute_clone(alg, n):

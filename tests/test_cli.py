@@ -274,6 +274,19 @@ class TestWorkBudget:
         assert out == ""
         assert "the closure holds 126 members x 2**3 entries, budget is 1000" in err
 
+    def test_census_total_over_budget(self, capsys, monkeypatch, bu_path):
+        # with no per-set floor, one table's cp3 (2**3 x 8) and the closure
+        # (256 x 8) fit; the census over all 256 members, 7 x 256 x 8
+        # entries, does not
+        budget = 7 * 256 * 8 - 1
+        monkeypatch.setattr(algebra, "_CP3_SET_FLOOR", 1)
+        monkeypatch.setattr(algebra, "WORK_BUDGET", budget)
+        code, out, err = run(capsys, "census", bu_path, "--arity", "3", "--json")
+        assert code == 1
+        assert out == ""
+        estimate = "the census's cp3 needs 2**3 - 1 sets x 256 members x 2**3 entries"
+        assert f"{estimate}, budget is {budget}" in err
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

@@ -182,11 +182,18 @@ class TestCp3OfTable:
         monkeypatch.setattr(algebra, "WORK_BUDGET", 8 * 8)
         assert cp3_total(x1, bu, 3).total == 4
         assert sep_sets(x1, bu, 3) == [frozenset({1})]
-        # the closure is charged its members' entries too: semilattice2's
-        # 7 members at arity 3 fit in this budget, bool2's 256 do not
+        # once the clone is known, the census is charged 2**n - 1 sets of
+        # every member's entries: semilattice2's 7 members at arity 3 need
+        # 7 x 7 x 8, and its closure 7 x 8, entries
         members, _ = oracle.brute_clone(sl, 3)
         total = sum(oracle.brute_cp3_report(t, 2, 3)[1] for t in members)
+        boundary = (2**3 - 1) * len(members) * 2**3
+        monkeypatch.setattr(algebra, "WORK_BUDGET", boundary)
         assert algebra_n_complexity(sl, 3).total == total
+        monkeypatch.setattr(algebra, "WORK_BUDGET", boundary - 1)
+        message = rf"2\*\*3 - 1 sets x 7 members x 2\*\*3 entries, budget is {boundary - 1}$"
+        with pytest.raises(BudgetError, match=message):
+            algebra_n_complexity(sl, 3)
         monkeypatch.setattr(algebra, "WORK_BUDGET", 8 * 8 - 1)
         message = r"2\*\*3 sets x 2\*\*3 entries, budget is 63$"
         for call in (cp3_total, sep_sets):
@@ -427,6 +434,19 @@ class TestCensus:
             4: 6,
             0: 2,
         }
+
+    def test_closed_form_matches_exhaustive_bruteforce(self):
+        for k, n in ((2, 2), (2, 3)):
+            total, _ = oracle.brute_census_all_functions(k, n)
+            assert oracle.census_total_all_functions(k, n) == total
+
+    def test_clone_of_every_function_matches_closed_form(self, bu, mod3):
+        # bool2 and mod3 generate every function on their carrier
+        for alg, n in ((bu, 2), (bu, 3), (mod3, 1)):
+            census = algebra_n_complexity(alg, n)
+            k = alg.carrier_size
+            assert census.clone_size == k ** (k**n)
+            assert census.total == oracle.census_total_all_functions(k, n)
 
     def test_semilattice_arity_2(self, sl):
         census = algebra_n_complexity(sl, 2)

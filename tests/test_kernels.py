@@ -182,6 +182,69 @@ def check_cp3_counts(table, k, arity, per, total):
     assert counts[0] == kernels.cp3_count(table, k, arity, 0) == 0
 
 
+def joined(tables, width):
+    """Tables of lane bytes joined into one integer, the first lowest."""
+    return int.from_bytes(b"".join(kernels.pack(t, width) for t in tables), "little")
+
+
+def boundary_neighbours(values, k):
+    """The table, then copies that differ from it only in the last entry
+    and only in the first: adjacent in a blob, they differ only where one
+    table ends and the next begins, so borrows across tables meet there."""
+    return [
+        values,
+        values[:-1] + ((values[-1] + 1) % k,),
+        ((values[0] + 1) % k,) + values[1:],
+        values,
+    ]
+
+
+def test_cp3_totals_against_oracle():
+    rng = random.Random(409)
+    for k in (1, 2, 3, 4):
+        for arity in (0, 1, 2, 3):
+            pool = [0, 0, 0] + list(range(k))
+            tables = [tuple(rng.choice(pool) for _ in range(k**arity)) for _ in range(3)]
+            tables += boundary_neighbours(tables[0], k)
+            expected = [oracle.brute_cp3_report(t, k, arity)[1] for t in tables]
+            assert expected == [sum(kernels.cp3_counts(t, k, arity)) for t in tables]
+            for width in (1, 2, 4, 8):
+                for blob in (tables[:1], tables):
+                    got = kernels.cp3_totals(joined(blob, width), len(blob), k, arity, width)
+                    assert got == expected[: len(blob)]
+
+
+def test_cp3_totals_wide_carrier():
+    rng = random.Random(410)
+    tables = [wide_table(rng, 1) for _ in range(3)]
+    tables += boundary_neighbours(tables[0], 257)
+    expected = [oracle.brute_cp3_report(t, 257, 1)[1] for t in tables]
+    for width in (2, 4, 8):
+        assert kernels.cp3_totals(joined(tables, width), len(tables), 257, 1, width) == expected
+    # at arity 2 the reference is the per-table kernel, checked against
+    # the definition in test_cp3_counts_wide_carrier
+    tables = [wide_table(rng, 2) for _ in range(2)]
+    expected = [sum(kernels.cp3_counts(t, 257, 2)) for t in tables]
+    for width in (2, 4, 8):
+        assert kernels.cp3_totals(joined(tables, width), 2, 257, 2, width) == expected
+
+
+def test_cp3_totals_flush_past_255_masks():
+    # parity of 9 variables leaves every set essential under every
+    # assignment, so index 0 is kept by all 511 masks: its accumulator
+    # byte would pass 255 without a flush every 255 masks
+    n = 9
+    parity = tuple(bin(i).count("1") % 2 for i in range(2**n))
+    tables = [parity, tuple(1 - v for v in parity), (0,) * 2**n, parity]
+    expected = [sum(kernels.cp3_counts(t, 2, n)) for t in tables]
+    for width in (1, 2):
+        assert kernels.cp3_totals(joined(tables, width), len(tables), 2, n, width) == expected
+
+
+def test_cp3_totals_of_no_tables():
+    assert kernels.cp3_totals(0, 0, 2, 3, 1) == []
+
+
 def test_cp3_count_rejects_positions_beyond_arity():
     with pytest.raises(ValueError, match="beyond arity 2"):
         kernels.cp3_count((0, 1, 1, 0), 2, 2, 0b100)
