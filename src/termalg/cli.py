@@ -213,11 +213,25 @@ def _cmd_census(args) -> int:
     return 0
 
 
+def _witness_texts(witnesses):
+    """Printed witnesses of a clone in discovery order. The arguments of
+    each composed witness are earlier witnesses, so its text joins
+    theirs instead of printing their subterms again."""
+    texts: dict[int, str] = {}
+    for w in witnesses:
+        if isinstance(w, terms.Apply):
+            texts[id(w)] = f"{w.symbol}({','.join(texts[id(c)] for c in w.children)})"
+        else:
+            texts[id(w)] = terms.print_term(w)
+    return [texts[id(w)] for w in witnesses]
+
+
 def _cmd_clone(args) -> int:
     alg = load_algebra(args.algebra)
     clone = complexity.clone_level(alg, args.arity, args.max_clone_size)
     # the closure built these tables, so they need no FunctionTable check
     values = (list(kernels.unpack(t, clone.width)) for t in clone.tables)
+    texts = _witness_texts(clone.witnesses) if args.list else ()
     if args.json:
         doc = {
             "algebra": alg.name,
@@ -225,16 +239,12 @@ def _cmd_clone(args) -> int:
             "size": clone.size,
         }
         if args.list:
-            doc["members"] = [
-                {"values": v, "witness": terms.print_term(w)}
-                for v, w in zip(values, clone.witnesses)
-            ]
+            doc["members"] = [{"values": v, "witness": w} for v, w in zip(values, texts)]
         print(json.dumps(doc, indent=2))
         return 0
     print(f"clone of {alg.name} at arity {clone.arity}: {clone.size} members")
-    if args.list:
-        for i, (v, w) in enumerate(zip(values, clone.witnesses)):
-            print(f"  {i}: {v}  <-  {terms.print_term(w)}")
+    for i, (v, w) in enumerate(zip(values, texts)):
+        print(f"  {i}: {v}  <-  {w}")
     return 0
 
 

@@ -13,10 +13,11 @@ import json
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, combinations, compress
+from math import comb
 from typing import Iterable, Mapping, Optional
 
-from . import kernels
+from . import algebra, kernels
 from .algebra import (
     FiniteAlgebra,
     FunctionTable,
@@ -124,7 +125,7 @@ class CloneLevel:
     operation order and then by the lexicographic argument tuple.
     `witnesses[i]` is a term inducing `members[i]`. The order is the same
     whether the closure ran to its fixpoint or stopped early because it
-    held every function.
+    held every function that preserves the algebra's subuniverses.
 
     `tables` holds the members as the closure built them, lane bytes of
     `width` bytes per entry; `members` unpacks them on first use.
@@ -156,8 +157,11 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     equals (b, a), which touches the newest layer through a and came
     earlier in the same round, so it is never new.
     Raises BudgetError once more than `max_size` distinct members appear
-    or their tables would hold more than WORK_BUDGET entries, and stops
-    as soon as the clone holds all k**(k**n) functions.
+    or their tables would hold more than WORK_BUDGET entries. Stops as
+    soon as the clone holds as many members as there are n-ary functions
+    preserving every subuniverse (`_subuniverse_bound`): every term
+    operation is one of them, so the clone is then complete. With no
+    proper nonempty subuniverse that is all k**(k**n) functions.
     """
     width = kernels.lane_width(alg.carrier_size, [op.arity for op in alg.operations])
     tables, witnesses = _closure(alg, n, width, max_size)
@@ -182,25 +186,18 @@ def _closure(alg, n, width, max_size):
     k = alg.carrier_size
     size = _table_size(k, n)
     step = size * width
-    everything = k**size
+    bound = _subuniverse_bound(alg, n)
     tables: list[bytes] = []
     witnesses: list[Term] = []
     seen: set[bytes] = set()
 
     def add(values: bytes, witness: Term) -> bool:
-        """Record a new member; True once the clone holds every function."""
-        if len(tables) >= max_size:
-            raise BudgetError(
-                f"clone budget exceeded: more than {max_size} members at arity {n}"
-            )
-        _check_work(
-            (len(tables) + 1) * size,
-            f"the closure holds {len(tables) + 1} members x {k}**{n}",
-        )
+        """Record a new member; True once the clone reaches the bound."""
+        _admit(len(tables) + 1, max_size, k, n)
         seen.add(values)
         tables.append(values)
         witnesses.append(witness)
-        return len(tables) == everything
+        return len(tables) == bound
 
     for i in range(1, n + 1):
         values = kernels.projection_lanes(i, n, k, width)
@@ -246,6 +243,67 @@ def _closure(alg, n, width, max_size):
                         return tables, witnesses
         frontier = known
     return tables, witnesses
+
+
+def _admit(members, max_size, k, n):
+    """Raise the closure's BudgetError for holding `members` members:
+    more than `max_size` of them, or more than WORK_BUDGET entries."""
+    if members > max_size:
+        raise BudgetError(f"clone budget exceeded: more than {max_size} members at arity {n}")
+    _check_work(members * k**n, f"the closure holds {members} members x {k}**{n}")
+
+
+def _subuniverse_bound(alg, n, lookups=None):
+    """Number of n-ary operations that preserve every subuniverse: the
+    product over a in A**n of |Sg({a1, ..., an})|, the subuniverse the
+    entries of a generate. Every term operation preserves every
+    subuniverse, so the n-ary clone has at most this many members; with
+    no proper nonempty subuniverse it is k**(k**n).
+
+    The tuples whose entries form a set X of j elements are the
+    surjections of the n positions onto X, so each X is closed once and
+    its factor raised to their number. A set's closure starts from the
+    union of its points' subuniverses, and each round applies every
+    operation to all of S**arity. The rounds of all sets together visit
+    at most `lookups` operation-table entries, by default k**n, one
+    table's worth; once that is spent, every remaining factor is taken
+    as k, which only enlarges the bound.
+    """
+    k = alg.carrier_size
+    budget = k**n if lookups is None else lookups
+    left = k**n  # tuples whose factor is not yet known
+    bound = 1
+    points: dict[int, frozenset] = {}
+
+    def generated(s):
+        nonlocal budget
+        while len(s) < k:
+            cost = sum(len(s) ** op.arity for op in alg.operations)
+            if cost > budget:
+                return None
+            budget -= cost
+            grown = set(s)
+            for op in alg.operations:
+                indices = [0]
+                for _ in range(op.arity):
+                    indices = [i * k + a for i in indices for a in s]
+                grown.update(map(op.table.__getitem__, indices))
+            if len(grown) == len(s):
+                break
+            s = grown
+        return frozenset(s)
+
+    for j in range(min(n, k) + 1):
+        tuples = sum((-1) ** i * comb(j, i) * (j - i) ** n for i in range(j + 1))
+        for subset in combinations(range(k), j):
+            closed = generated(set(subset).union(*(points.get(x, ()) for x in subset)))
+            if closed is None:
+                return bound * k**left
+            if j == 1:
+                points[subset[0]] = closed
+            bound *= len(closed) ** tuples
+            left -= tuples
+    return bound
 
 
 def _prefixes(tables, depth, k, known):
@@ -294,20 +352,80 @@ def algebra_n_complexity(
     """Sum cp3 over every n-ary clone member, grouping members by total.
 
     One table's count is checked before the closure; once the clone is
-    known, the count over all its members is charged in full.
+    known, the count over all its members is charged in full. A primal
+    algebra (`_primal`) skips the closure: its clone is every function,
+    counted straight from their tables, with the budget errors the
+    closure would raise on the way to k**(k**n) members.
     """
     k = alg.carrier_size
     _check_cp3_work(k, n)
-    clone = clone_level(alg, n, max_size)
+    if _primal(alg, n, max_size):
+        size = k**n
+        count = k**size
+        # the closure refuses its first member over max_size or WORK_BUDGET
+        _admit(min(count, max_size + 1, algebra.WORK_BUDGET // size + 1), max_size, k, n)
+        width = kernels.lane_width(k, ())
+        tables = _all_tables(k, size, width)
+    else:
+        clone = clone_level(alg, n, max_size)
+        count, width, tables = clone.size, clone.width, b"".join(clone.tables)
     _check_work(
-        (2**n - 1) * clone.size * k**n,
-        f"the census's cp3 needs 2**{n} - 1 sets x {clone.size} members x {k}**{n}",
+        (2**n - 1) * count * k**n,
+        f"the census's cp3 needs 2**{n} - 1 sets x {count} members x {k}**{n}",
     )
-    blob = int.from_bytes(b"".join(clone.tables), "little")
+    blob = int.from_bytes(tables, "little")
     buckets: dict[int, int] = {}
     total = 0
-    for t in kernels.cp3_totals(blob, clone.size, k, n, clone.width):
+    for t in kernels.cp3_totals(blob, count, k, n, width):
         total += t
         buckets[t] = buckets.get(t, 0) + 1
     histogram = {c: buckets[c] for c in sorted(buckets, reverse=True)}
-    return AlgebraCensus(alg.name, n, clone.size, total, histogram)
+    return AlgebraCensus(alg.name, n, count, total, histogram)
+
+
+def _primal(alg, n, max_size):
+    """True when a cheap certificate shows that the clone holds every
+    operation on the carrier, so that its n-ary members need no closure.
+
+    k = 2: the binary clone holds all 16 functions, since every function
+    on a finite set composes from binary ones (Sierpinski 1945). At n = 1
+    that clone is larger than the one it would spare, so it is not tried.
+    k >= 3: the unary clone holds all k**k functions and some basic
+    operation is onto and depends on at least two variables (Slupecki
+    1939). The closure behind the certificate is never larger than the
+    n-ary one it spares; if a budget stops it, the certificate fails and
+    the census takes the closure, which raises the budget's own error.
+    """
+    k = alg.carrier_size
+    if k == 2 and n >= 2:
+        arity = 2
+    elif k >= 3 and n >= 1 and any(
+        set(op.table) == set(range(k))
+        and kernels.essential_mask(op.table, k, op.arity).bit_count() >= 2
+        for op in alg.operations
+    ):
+        arity = 1
+    else:
+        return False
+    try:
+        return clone_level(alg, arity, max_size).size == k ** (k**arity)
+    except BudgetError:
+        return False
+
+
+def _all_tables(k, size, width):
+    """Lane bytes of every function with `size` entries over k elements,
+    joined: the tables in lexicographic order, the first entry most
+    significant. Entry i of all tables together is the runs of each
+    value, k**(size - 1 - i) long, repeated; it is written into every
+    table at once by one strided slice per lane byte."""
+    count = k**size
+    step = size * width
+    out = bytearray(count * step)
+    for i in range(size):
+        run = k ** (size - 1 - i)
+        column = b"".join(kernels.constant_lanes(v, run, width) for v in range(k))
+        column *= count // (run * k)
+        for b in range(width):
+            out[i * width + b :: step] = column[b::width]
+    return out

@@ -177,3 +177,34 @@ def brute_clone(alg, n):
                     texts.append(f"{op.symbol}({','.join(texts[a] for a in args)})")
         frontier = known
     return tables, texts
+
+
+def brute_subuniverses(alg):
+    """Every subset of the carrier, the empty one included, that each
+    operation maps into itself on every argument tuple."""
+    k = alg.carrier_size
+    ops = ops_of(alg)
+    out = []
+    for bits in product((False, True), repeat=k):
+        s = [a for a in range(k) if bits[a]]
+        if all(
+            ops[op.symbol](*args) in s
+            for op in alg.operations
+            for args in product(s, repeat=op.arity)
+        ):
+            out.append(s)
+    return out
+
+
+def brute_pol_count(alg, n):
+    """Number of n-ary tables f with f(S**n) inside S for every
+    subuniverse S, by trying every table."""
+    k = alg.carrier_size
+    subs = brute_subuniverses(alg)
+    tuples = list(product(range(k), repeat=n))
+    # the indices of S**n in a table, per subuniverse
+    inside = [[idx(a, k) for a in tuples if all(x in s for x in a)] for s in subs]
+    return sum(
+        all(table[i] in s for s, indices in zip(subs, inside) for i in indices)
+        for table in all_tables(k, n)
+    )

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from termalg import algebra, catalog, dump_algebra
-from termalg.cli import main
+from termalg import algebra, catalog, clone_level, dump_algebra, print_term
+from termalg.cli import _witness_texts, main
 
 T1 = "+(*(x1,x2),x3)"
 T2 = "+(*(x1,x3),*(x2,neg(x3)))"
@@ -216,6 +216,20 @@ class TestCensusAndClone:
         doc = json.loads(out)
         assert doc["size"] == 3
         assert {"values": [0, 0, 0, 1], "witness": "*(x1,x2)"} in doc["members"]
+
+    def test_clone_listing_prints_witnesses_as_the_printer_does(self, capsys, tmp_path):
+        for alg, n in ((catalog.bool2(), 3), (catalog.chain3(), 4)):
+            path = tmp_path / f"{alg.name}.json"
+            dump_algebra(alg, path)
+            clone = clone_level(alg, n)
+            texts = [print_term(w) for w in clone.witnesses]
+            assert _witness_texts(clone.witnesses) == texts
+            code, out, _ = run(capsys, "clone", str(path), "--arity", str(n), "--list", "--json")
+            assert code == 0
+            assert [m["witness"] for m in json.loads(out)["members"]] == texts
+            code, out, _ = run(capsys, "clone", str(path), "--arity", str(n), "--list")
+            assert code == 0
+            assert [line.split("  <-  ")[1] for line in out.splitlines()[1:]] == texts
 
     def test_repeated_runs_identical(self, capsys, bu_path):
         _, first, _ = run(capsys, "census", bu_path, "--arity", "2", "--json")

@@ -3,6 +3,7 @@
 import random
 import re
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from termalg import (
     AlgebraCensus,
+    dump_algebra,
     BudgetError,
     FunctionTable,
     algebra_n_complexity,
@@ -29,7 +31,7 @@ from termalg import (
     transport_algebra,
     value_set,
 )
-from termalg import algebra, catalog, kernels
+from termalg import algebra, catalog, cli, complexity, kernels
 from termalg.algebra import FiniteAlgebra, Operation
 from termalg.terms import Apply
 
@@ -231,12 +233,17 @@ def small_algebras(draw):
     """A random algebra with k <= 3, one to three operations of arity 1-3,
     and an arity n small enough for the oracle's per-tuple closure."""
     k = draw(st.integers(1, 3))
+    # operations that all fix 0 keep {0} a subuniverse, so the closure
+    # may stop at the subuniverse bound before its fixpoint
+    fix0 = draw(st.booleans())
     ops = []
     for i, r in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))):
         table = draw(st.lists(st.integers(0, k - 1), min_size=k**r, max_size=k**r))
         if r == 2 and draw(st.booleans()):
             # symmetric, so the closure skips commuted argument tuples
             table = [table[max(a, b) * k + min(a, b)] for a in range(k) for b in range(k)]
+        if fix0:
+            table[0] = 0
         ops.append(Operation(f"f{i}", r, tuple(table)))
     n = draw(st.integers(0, {1: 3, 2: 2, 3: 1}[k]))
     return FiniteAlgebra("random", k, tuple(ops)), n
@@ -470,6 +477,20 @@ class TestCensus:
         assert census.total == sum(totals)
         assert dict(census.histogram) == dict(Counter(totals))
 
+    def test_arity_zero_and_one_element_carrier(self, bu, mod3):
+        # no nullary term operation exists, and a one-element carrier has
+        # one function per arity, constant, with no essential variable
+        for alg in (bu, mod3):
+            census = algebra_n_complexity(alg, 0)
+            assert (census.clone_size, census.total, dict(census.histogram)) == (0, 0, {})
+            assert complexity._subuniverse_bound(alg, 0) == 0
+        one = FiniteAlgebra("one", 1, (Operation("f", 2, (0,)), Operation("g", 1, (0,))))
+        for n in (1, 2, 3):
+            census = algebra_n_complexity(one, n)
+            assert (census.clone_size, census.total, dict(census.histogram)) == (1, 0, {0: 1})
+            assert complexity._subuniverse_bound(one, n) == 1
+            assert not complexity._primal(one, n, complexity.CLONE_BUDGET)
+
     def test_json_round_trip(self, bu):
         census = algebra_n_complexity(bu, 2)
         text = census.to_json()
@@ -484,6 +505,247 @@ class TestCensus:
         keys = [int(c) for c in doc["histogram"]]
         assert keys == sorted(keys, reverse=True)
         assert list(doc) == ["algebra", "n", "clone_size", "total", "histogram"]
+
+
+def _random_algebra(rng, k, arities, keep=()):
+    """Random operations of these arities on k elements that map every
+    set in `keep` into itself: a tuple inside some of the sets takes a
+    value in all of them."""
+    ops = []
+    for i, r in enumerate(arities):
+        table = []
+        for args in product(range(k), repeat=r):
+            inside = [s for s in keep if set(args) <= s]
+            table.append(rng.choice(sorted(set.intersection(*inside)) if inside else range(k)))
+        ops.append(Operation(f"f{i}", r, tuple(table)))
+    return FiniteAlgebra("random", k, tuple(ops))
+
+
+def _closure_route(monkeypatch):
+    """Make the census take the closure even for a primal algebra."""
+    monkeypatch.setattr(complexity, "_primal", lambda alg, n, max_size: False)
+
+
+def _census_or_error(alg, n, **kwargs):
+    try:
+        return algebra_n_complexity(alg, n, **kwargs)
+    except BudgetError as exc:
+        return str(exc)
+
+
+class TestSubuniverseBound:
+    @pytest.mark.parametrize(
+        "k, n, draws",
+        [(1, 0, 3), (1, 2, 3), (2, 0, 6), (2, 1, 12), (2, 2, 12), (2, 3, 12), (3, 1, 12), (3, 2, 4)],
+    )
+    def test_product_form_matches_brute_count(self, k, n, draws):
+        rng = random.Random(100 * k + n)
+        keeps = [(), ({0},), ({0}, {k - 1}), (set(range(k - 1)),), ({0}, set(range(1, k)))]
+        for _ in range(draws):
+            keep = [s for s in rng.choice(keeps) if s]
+            alg = _random_algebra(rng, k, rng.choice([(1,), (2,), (2, 1), (3,), (1, 1)]), keep)
+            exact = complexity._subuniverse_bound(alg, n, lookups=10**9)
+            assert exact == oracle.brute_pol_count(alg, n)
+            # past its default lookups the bound takes factors of k
+            assert complexity._subuniverse_bound(alg, n) >= exact
+
+    def test_catalog_bounds(self, bu, br, sl):
+        bound = complexity._subuniverse_bound
+        assert [bound(bu, n) for n in range(5)] == [0, 4, 16, 256, 65536]
+        # the functions that fix 0 (Post 1941)
+        assert [bound(br, n) for n in range(5)] == [0, 2, 8, 128, 32768]
+        assert [bound(sl, n) for n in range(3)] == [0, 1, 4]
+
+    def test_boolean_ring_stops_at_the_bound(self, br, monkeypatch):
+        composed = []
+        lookup = kernels.lookup
+
+        def counting(table, width):
+            apply = lookup(table, width)
+            return lambda data: composed.append(len(data)) or apply(data)
+
+        monkeypatch.setattr(kernels, "lookup", counting)
+        stopped = listing(clone_level(br, 3))
+        at_bound = sum(composed)
+        composed.clear()
+        monkeypatch.setattr(complexity, "_subuniverse_bound", lambda alg, n: 2 ** 2**n)
+        assert listing(clone_level(br, 3)) == stopped == oracle.brute_clone(br, 3)
+        assert len(stopped[0]) == 128
+        # the fixpoint round composes more than the whole stopped closure
+        assert 2 * at_bound < sum(composed)
+
+    def test_boolean_ring_at_arity_4(self, br):
+        clone = clone_level(br, 4)
+        assert clone.size == 32768
+        assert all(m.values[0] == 0 for m in clone.members)
+        for i in range(0, clone.size, 997):
+            assert induced_operation(clone.witnesses[i], br, 4) == clone.members[i]
+
+    def test_random_algebras_stop_at_the_bound(self):
+        rng = random.Random(47)
+        stops = 0
+        for k, n in ((2, 2), (2, 3), (3, 1)) * 10:
+            keep = rng.choice([[{0}], [{0}, {1}], [{0, 1}]] if k == 3 else [[{0}], [{1}]])
+            arities = [(2,), (2, 1), (2, 2)] + [(3,)] * (n < 3)
+            alg = _random_algebra(rng, k, rng.choice(arities), keep)
+            clone = clone_level(alg, n)
+            assert listing(clone) == oracle.brute_clone(alg, n)
+            bound = complexity._subuniverse_bound(alg, n)
+            assert clone.size <= bound
+            stops += clone.size == bound < k ** k**n
+        assert stops >= 5
+
+
+class TestPrimalCensus:
+    def test_catalog_certificates(self, bu, br, sl, chain3, mod3):
+        budget = complexity.CLONE_BUDGET
+        primal = {
+            alg.name: [complexity._primal(alg, n, budget) for n in range(4)]
+            for alg in (bu, br, sl, chain3, mod3)
+        }
+        assert primal == {
+            # at n = 1 the 16-member certificate would outgrow the closure
+            "bool2": [False, False, True, True],
+            "boolean-ring": [False] * 4,
+            "semilattice2": [False] * 4,
+            "chain3": [False] * 4,
+            "mod3": [False, True, True, True],
+        }
+
+    def test_two_element_certificate_matches_brute_clone(self):
+        rng = random.Random(53)
+        seen = Counter()
+        for _ in range(40):
+            alg = _random_algebra(rng, 2, rng.choice([(2,), (1, 2), (2, 2), (3,), (1, 1)]))
+            full = len(oracle.brute_clone(alg, 2)[0]) == 16
+            for n in (2, 3):
+                assert complexity._primal(alg, n, complexity.CLONE_BUDGET) == full
+            if full:
+                assert clone_level(alg, 3).size == 256
+            seen[full] += 1
+        assert seen[True] >= 3 and seen[False] >= 3
+
+    def test_three_element_certificate_matches_brute_clone(self):
+        rng = random.Random(59)
+        total, hist = oracle.brute_census_all_functions(3, 1)
+        seen = Counter()
+        for _ in range(40):
+            alg = _random_algebra(rng, 3, rng.choice([(2,), (1, 2), (1, 1), (1, 1, 1), (3,)]))
+            unary_full = len(oracle.brute_clone(alg, 1)[0]) == 27
+            onto_binary = any(
+                set(op.table) == {0, 1, 2} and len(oracle.brute_ess(op.table, 3, op.arity)) >= 2
+                for op in alg.operations
+            )
+            certified = complexity._primal(alg, 1, complexity.CLONE_BUDGET)
+            assert certified == (unary_full and onto_binary)
+            assert complexity._primal(alg, 2, complexity.CLONE_BUDGET) == certified
+            if certified:
+                census = algebra_n_complexity(alg, 1)
+                assert (census.total, dict(census.histogram)) == (total, hist)
+            seen[unary_full, onto_binary] += 1
+        assert seen[True, True] >= 3 and seen[False, True] >= 3
+        # every unary map, from a 3-cycle, a transposition and a collapse,
+        # but the binary operation is not onto: the certificate fails
+        alg = FiniteAlgebra(
+            "unary-full",
+            3,
+            (
+                Operation("c", 1, (1, 2, 0)),
+                Operation("t", 1, (1, 0, 2)),
+                Operation("z", 1, (0, 0, 2)),
+                Operation("m", 2, tuple(min(a, b, 1) for a in range(3) for b in range(3))),
+            ),
+        )
+        assert len(oracle.brute_clone(alg, 1)[0]) == 27
+        assert not complexity._primal(alg, 1, complexity.CLONE_BUDGET)
+
+    def test_census_skips_the_closure(self, bu, mod3, monkeypatch):
+        arities = []
+        closure = complexity.clone_level
+
+        def spy(alg, n, max_size=complexity.CLONE_BUDGET):
+            arities.append(n)
+            return closure(alg, n, max_size)
+
+        monkeypatch.setattr(complexity, "clone_level", spy)
+        for alg, n in ((bu, 2), (bu, 3), (mod3, 1), (mod3, 2)):
+            census = algebra_n_complexity(alg, n)
+            k = alg.carrier_size
+            assert census.clone_size == sum(census.histogram.values()) == k ** k**n
+            assert census.total == oracle.census_total_all_functions(k, n)
+            if (k, n) != (3, 2):
+                assert (census.total, dict(census.histogram)) == oracle.brute_census_all_functions(k, n)
+        # only the certificates' closures ran
+        assert arities == [2, 2, 1, 1]
+
+    def test_certified_census_equals_the_closure_route(self, bu, mod3, monkeypatch):
+        cases = ((bu, 2), (bu, 3), (mod3, 1))
+        certified = [algebra_n_complexity(alg, n).to_json() for alg, n in cases]
+        _closure_route(monkeypatch)
+        assert [algebra_n_complexity(alg, n).to_json() for alg, n in cases] == certified
+
+    def test_budget_parity_with_the_closure(self, bu, monkeypatch):
+        sizes = (-1, 0, 1, 2, 3, 5, 15, 16, 17, 100, 254, 255, 256, 257)
+        # with no per-set floor the closure's own budgets come before cp3's
+        monkeypatch.setattr(algebra, "_CP3_SET_FLOOR", 1)
+        budgets = {2: (15, 16, 20, 40, 63, 64, 191, 192), 3: (63, 64, 65, 100, 2047, 2048, 14335, 14336)}
+
+        default = algebra.WORK_BUDGET
+
+        def outcomes():
+            out = [_census_or_error(bu, 3, max_size=m) for m in sizes]
+            for n, values in budgets.items():
+                for budget in values:
+                    monkeypatch.setattr(algebra, "WORK_BUDGET", budget)
+                    out.append(_census_or_error(bu, n))
+            monkeypatch.setattr(algebra, "WORK_BUDGET", default)
+            return out
+
+        certified = outcomes()
+        assert certified[sizes.index(255)] == (
+            "clone budget exceeded: more than 255 members at arity 3"
+        )
+        assert certified[sizes.index(5)] == "clone budget exceeded: more than 5 members at arity 3"
+        assert certified[-4:-1] == [
+            "the closure holds 256 members x 2**3 entries, budget is 2047",
+            "the census's cp3 needs 2**3 - 1 sets x 256 members x 2**3 entries, budget is 2048",
+            "the census's cp3 needs 2**3 - 1 sets x 256 members x 2**3 entries, budget is 14335",
+        ]
+        assert certified[-1].total == 2714
+        _closure_route(monkeypatch)
+        assert outcomes() == certified
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--max-clone-size", 19682, "clone budget exceeded: more than 19682 members at arity 2"),
+            # the certificate's unary closure stops first, at arity 1
+            ("--max-clone-size", 5, "clone budget exceeded: more than 5 members at arity 2"),
+            ("WORK_BUDGET", 177146, "the closure holds 19683 members x 3**2 entries, budget is 177146"),
+            (
+                "WORK_BUDGET",
+                531440,
+                "the census's cp3 needs 2**2 - 1 sets x 19683 members x 3**2 entries, "
+                "budget is 531440",
+            ),
+        ],
+    )
+    def test_mod3_budget_errors(self, tmp_path, monkeypatch, capsys, option, value, message):
+        path = tmp_path / "mod3.json"
+        dump_algebra(catalog.mod3(), path)
+        argv = ["census", str(path), "--arity", "2", "--json"]
+        if option == "WORK_BUDGET":
+            monkeypatch.setattr(algebra, "WORK_BUDGET", value)
+        else:
+            argv += [option, str(value)]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_mod3_at_the_budget_boundary(self, mod3, monkeypatch):
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 531441)
+        assert algebra_n_complexity(mod3, 2, max_size=19683).total == 124608
 
 
 class TestInvariances:
