@@ -233,14 +233,21 @@ def _cmd_clone(args) -> int:
     values = (list(kernels.unpack(t, clone.width)) for t in clone.tables)
     texts = _witness_texts(clone.witnesses) if args.list else ()
     if args.json:
-        doc = {
-            "algebra": alg.name,
-            "n": clone.arity,
-            "size": clone.size,
-        }
+        head = json.dumps({"algebra": alg.name, "n": clone.arity, "size": clone.size}, indent=2)
         if args.list:
-            doc["members"] = [{"values": v, "witness": w} for v, w in zip(values, texts)]
-        print(json.dumps(doc, indent=2))
+            # the layout of json.dumps(doc, indent=2), whose encoder with
+            # indent is pure Python, with the members listed as "members"
+            members = ",\n".join(
+                '    {\n      "values": [\n        '
+                + ",\n        ".join(map(str, v))
+                + '\n      ],\n      "witness": '
+                + json.dumps(w)
+                + "\n    }"
+                for v, w in zip(values, texts)
+            )
+            listed = f"[\n{members}\n  ]" if members else "[]"
+            head = f'{head[:-2]},\n  "members": {listed}\n}}'
+        print(head)
         return 0
     print(f"clone of {alg.name} at arity {clone.arity}: {clone.size} members")
     for i, (v, w) in enumerate(zip(values, texts)):

@@ -125,7 +125,7 @@ class CloneLevel:
     operation order and then by the lexicographic argument tuple.
     `witnesses[i]` is a term inducing `members[i]`. The order is the same
     whether the closure ran to its fixpoint or stopped early because it
-    held every function that preserves the algebra's subuniverses.
+    held as many members as the clone can have (`clone_level`).
 
     `tables` holds the members as the closure built them, lane bytes of
     `width` bytes per entry; `members` unpacks them on first use.
@@ -157,20 +157,30 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     equals (b, a), which touches the newest layer through a and came
     earlier in the same round, so it is never new.
     Raises BudgetError once more than `max_size` distinct members appear
-    or their tables would hold more than WORK_BUDGET entries. Stops as
-    soon as the clone holds as many members as there are n-ary functions
-    preserving every subuniverse (`_subuniverse_bound`): every term
-    operation is one of them, so the clone is then complete. With no
-    proper nonempty subuniverse that is all k**(k**n) functions.
+    or their tables would hold more than WORK_BUDGET entries; when the
+    clone's size is known beforehand (a semilattice, a distributive
+    lattice or a primal algebra), that error comes before any closing.
+    Stops as soon as the clone holds `_clone_bound` members, as many as
+    the free spectrum counts or else as there are n-ary functions
+    preserving every subuniverse: the clone has no more, so it is then
+    complete. With no proper nonempty subuniverse that is all k**(k**n)
+    functions.
     """
-    width = kernels.lane_width(alg.carrier_size, [op.arity for op in alg.operations])
-    tables, witnesses = _closure(alg, n, width, max_size)
-    return CloneLevel(n, alg.carrier_size, tuple(tables), width, tuple(witnesses))
+    k = alg.carrier_size
+    size = _table_size(k, n)
+    bound, exact = _clone_bound(alg, n)
+    # the closure refuses this member, if it gets that far
+    refused = min(max_size + 1, algebra.WORK_BUDGET // size + 1)
+    # the bound is the clone's size when exact, and for a primal algebra,
+    # all k**size functions: a closure that would be refused is refused now
+    if exact or (refused <= bound and _primal(alg, n, max_size)):
+        _admit(min(bound, refused), max_size, k, n)
+    return _closure(alg, n, max_size, bound)
 
 
-def _closure(alg, n, width, max_size):
-    """(tables, witnesses) of the n-ary clone in discovery order, the
-    tables as lane bytes of `width` bytes per entry.
+def _closure(alg, n, max_size, bound):
+    """The n-ary clone in discovery order, closed until it holds `bound`
+    members or reaches its fixpoint; the tables are lane bytes.
 
     For each prefix of all but the last argument, the last argument runs
     over a whole block of members at once. One little-endian integer
@@ -184,9 +194,9 @@ def _closure(alg, n, width, max_size):
     one pass over the block picks them out in block order.
     """
     k = alg.carrier_size
+    width = kernels.lane_width(k, [op.arity for op in alg.operations])
     size = _table_size(k, n)
     step = size * width
-    bound = _subuniverse_bound(alg, n)
     tables: list[bytes] = []
     witnesses: list[Term] = []
     seen: set[bytes] = set()
@@ -199,10 +209,13 @@ def _closure(alg, n, width, max_size):
         witnesses.append(witness)
         return len(tables) == bound
 
+    def level():
+        return CloneLevel(n, k, tuple(tables), width, tuple(witnesses))
+
     for i in range(1, n + 1):
         values = kernels.projection_lanes(i, n, k, width)
         if values not in seen and add(values, Variable(i)):
-            return tables, witnesses
+            return level()
     frontier = 0
     while frontier < len(tables):
         known = len(tables)
@@ -240,9 +253,9 @@ def _closure(alg, n, width, max_size):
                     args = prefix + (first + j,)
                     witness = Apply(op.symbol, tuple(witnesses[a] for a in args))
                     if add(chunks[j], witness):
-                        return tables, witnesses
+                        return level()
         frontier = known
-    return tables, witnesses
+    return level()
 
 
 def _admit(members, max_size, k, n):
@@ -251,6 +264,104 @@ def _admit(members, max_size, k, n):
     if members > max_size:
         raise BudgetError(f"clone budget exceeded: more than {max_size} members at arity {n}")
     _check_work(members * k**n, f"the closure holds {members} members x {k}**{n}")
+
+
+def _clone_bound(alg, n):
+    """(bound, exact): the n-ary clone has at most `bound` members, and
+    exactly that many when `exact`. The free-spectrum count is exact;
+    without one, the subuniverse bound takes what is left of their
+    shared allowance of k**n lookups."""
+    count, lookups = _free_spectrum(alg, n)
+    if count is not None:
+        return count, True
+    return _subuniverse_bound(alg, n, lookups), False
+
+
+# Dedekind numbers M(n) = the monotone Boolean functions of n variables
+# (Dedekind 1897; OEIS A000372)
+_DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788)
+
+
+def _free_spectrum(alg, n, lookups=None):
+    """(count, lookups left): the number of n-ary term operations of a
+    nontrivial semilattice (one binary operation) or distributive lattice
+    (two); for any other algebra, for n < 1 and past the table of
+    Dedekind numbers the count is None.
+
+    The n-ary clone of A is the free algebra on n generators of the
+    variety A generates (Birkhoff 1935). A nontrivial semilattice
+    generates every semilattice; their free algebra is the 2**n - 1 joins
+    of nonempty sets of generators. A nontrivial distributive lattice
+    generates every distributive lattice; their free algebra is the
+    M(n) - 2 monotone Boolean functions that are not constant.
+
+    A binary operation * is a semilattice operation exactly when it is
+    idempotent, the sets below(x) = {z : z * x = z} are distinct and
+    below(x * y) = below(x) & below(y) (`_below`). Two of them form a
+    lattice exactly when each one's order is the other's reversed, and
+    the lattice is distributive exactly when for every a no y != y' have
+    a ^ y = a ^ y' and a v y = a v y' (Birkhoff's cancellation: a lattice
+    that is not distributive has M3 or N5 as a sublattice, which both
+    break it).
+
+    The checks read each table entry a bounded number of times, so
+    they are charged the entries: the diagonals first, which reject a
+    non-idempotent operation after k lookups, then the rest. They take
+    at most `lookups` of them, by default k**n, one table's worth; past
+    that the count is None.
+    """
+    k, ops = alg.carrier_size, alg.operations
+    left = k**n if lookups is None else lookups
+    if k < 2 or not 1 <= n < len(_DEDEKIND) or len(ops) > 2 or any(op.arity != 2 for op in ops):
+        return None, left
+    for op in ops:
+        if k > left:
+            return None, left
+        left -= k
+        if any(op.table[x * (k + 1)] != x for x in range(k)):
+            return None, left
+    rest = (k * k - k) * len(ops)
+    if rest > left:
+        return None, left
+    left -= rest
+    below = [_below(op.table, k) for op in ops]
+    if None in below:
+        return None, left
+    if len(ops) == 1:
+        return 2**n - 1, left
+    meet, join = below
+    f, g = (op.table for op in ops)
+    if any((meet[x] >> z & 1) != (join[z] >> x & 1) for x in range(k) for z in range(k)):
+        return None, left
+    if any(len(set(zip(f[a * k : a * k + k], g[a * k : a * k + k]))) < k for a in range(k)):
+        return None, left
+    return _DEDEKIND[n] - 2, left
+
+
+def _below(table, k):
+    """below(x) = {z : z * x = z} as a bitset for each x, when the
+    idempotent binary operation with this table is a semilattice
+    operation; else None.
+
+    With the below sets distinct and below(x * y) = below(x) & below(y),
+    z <= x iff z is in below(x) is a partial order: reflexive by
+    idempotence; transitive, since y <= x gives y * x = y and so
+    below(y) = below(y) & below(x); antisymmetric, since x <= y <= x
+    would make their below sets equal. In it x * y is the greatest lower
+    bound of x and y: it lies below both, and every common lower bound
+    lies below it. A semilattice operation passes, its below sets being
+    the principal ideals.
+    """
+    below = [0] * k
+    for z in range(k):
+        for x, v in enumerate(table[z * k : z * k + k]):
+            if v == z:
+                below[x] |= 1 << z
+    if len(set(below)) < k:
+        return None
+    if any(below[table[x * k + y]] != below[x] & below[y] for x in range(k) for y in range(k)):
+        return None
+    return below
 
 
 def _subuniverse_bound(alg, n, lookups=None):
@@ -408,7 +519,8 @@ def _primal(alg, n, max_size):
     else:
         return False
     try:
-        return clone_level(alg, arity, max_size).size == k ** (k**arity)
+        # not clone_level, whose early budget check asks this certificate
+        return _closure(alg, arity, max_size, _clone_bound(alg, arity)[0]).size == k ** (k**arity)
     except BudgetError:
         return False
 

@@ -1,5 +1,5 @@
-"""Table kernels: restriction, pointwise composition, and one axis
-builder that answers both essential variables and cp3 counting. They
+"""Table kernels: restriction, pointwise composition, a masked XOR test
+for essential variables, and one axis builder for cp3 counting. They
 are pure Python, the only lane; `BACKEND` names it.
 
 A table is a flat sequence of carrier values with the first argument
@@ -10,11 +10,12 @@ Tables being built (term tabulation and the clone closure) are lane
 bytes: one little-endian lane of `width` bytes per entry, wide enough
 for every operation-table index the composition forms, so a whole table
 is one integer and composing is one multiply-add and one lookup. The
-axis builder compares such an integer with its own shifts instead of
-looping over table entries. It does the same for many tables joined
-into one integer, the table index acting as one more digit above the
-others, so `cp3_totals` counts a whole clone in one pass per mask along
-the path that `cp3_count` and `cp3_counts` take for one table.
+essential-variable test and the axis builder compare such an integer
+with its own shifts instead of looping over table entries. The axis
+builder does the same for many tables joined into one integer, the
+table index acting as one more digit above the others, so `cp3_totals`
+counts a whole clone in one pass per mask along the path that
+`cp3_count` and `cp3_counts` take for one table.
 
 Positions are 0-based here; masks carry position p in bit p. The helpers
 at the bottom translate between masks and the public 1-based
@@ -29,10 +30,33 @@ BACKEND = "python"
 
 
 def essential_mask(values, k, arity):
-    """Bitmask of the positions the tabulated function depends on: those
-    whose axis flags are nonzero."""
-    axes = _axes(*_lanes(values, k, arity), k, arity, range(arity))
-    return sum(1 << p for p, (_, flags) in enumerate(axes) if flags)
+    """Bitmask of the positions the tabulated function depends on.
+
+    Position p is essential when some lane whose digit at p is 0 differs
+    from the lane d * stride above it, 0 < d < k. The first block's
+    segments are compared first, as bytes, up to 64 lanes each; only a
+    position that does not move there takes a pass over the whole table,
+    where the XOR of the table's integer with its shift is tested under a
+    mask of those whole lanes.
+    """
+    if not isinstance(values, bytes):
+        values = pack(values, lane_width(k, ()))
+    width = len(values) // k**arity
+    x = None
+    mask = 0
+    for p in range(arity):
+        stride = k ** (arity - 1 - p)
+        segment = width * stride  # bytes of the lanes of one digit at p
+        head = min(segment, 64 * width)
+        if any(values[:head] != values[d * segment : d * segment + head] for d in range(1, k)):
+            mask |= 1 << p
+            continue
+        if x is None:
+            x = int.from_bytes(values, "little")
+        lanes = int.from_bytes((b"\xff" * segment + bytes(segment * (k - 1))) * k**p, "little")
+        if any((x ^ x >> 8 * segment * d) & lanes for d in range(1, k)):
+            mask |= 1 << p
+    return mask
 
 
 def restrict(values, k, arity, positions, constants):

@@ -179,6 +179,19 @@ def brute_clone(alg, n):
     return tables, texts
 
 
+def brute_monotone_count(n):
+    """Number of monotone Boolean functions of n variables, f(a) <= f(b)
+    whenever a <= b in every coordinate, by trying every table."""
+    points = list(product((0, 1), repeat=n))
+    pairs = [
+        (idx(a, 2), idx(b, 2))
+        for a in points
+        for b in points
+        if all(x <= y for x, y in zip(a, b))
+    ]
+    return sum(all(table[i] <= table[j] for i, j in pairs) for table in all_tables(2, n))
+
+
 def brute_subuniverses(alg):
     """Every subset of the carrier, the empty one included, that each
     operation maps into itself on every argument tuple."""

@@ -1,6 +1,7 @@
 """Census outputs at scale: byte-identical to the digests in
-census_scale.sha256, which were taken from earlier outputs, and for
-algebras that generate every function, equal to the closed form."""
+census_scale.sha256, which were taken from earlier outputs; for
+algebras that generate every function, equal to the closed form, and
+for the 2-element lattice, of M(5) - 2 members."""
 
 import hashlib
 import json
@@ -10,12 +11,28 @@ from pathlib import Path
 import pytest
 
 from termalg import catalog, dump_algebra
+from termalg.algebra import FiniteAlgebra, Operation
 from termalg.cli import main
 
 import oracle
 
 DIGESTS = Path(__file__).with_name("census_scale.sha256")
-ALGEBRAS = {"bool2": catalog.bool2, "boolean_ring": catalog.boolean_ring, "mod3": catalog.mod3}
+
+
+def lattice2():
+    """The 2-element lattice: its clone at arity n is the M(n) - 2
+    monotone Boolean functions that are not constant."""
+    return FiniteAlgebra(
+        "lattice2", 2, (Operation("min", 2, (0, 0, 0, 1)), Operation("max", 2, (0, 1, 1, 1)))
+    )
+
+
+ALGEBRAS = {
+    "bool2": catalog.bool2,
+    "boolean_ring": catalog.boolean_ring,
+    "mod3": catalog.mod3,
+    "lattice2": lattice2,
+}
 # bool2 and mod3 are primal: their clones hold every function
 EVERY_FUNCTION = {"bool2", "mod3"}
 
@@ -39,6 +56,9 @@ def test_census_at_scale(name, n, digest, tmp_path, capsys):
     if name in EVERY_FUNCTION:
         total = json.loads(out)["total"]
         assert total == oracle.census_total_all_functions(alg.carrier_size, n)
+    if name == "lattice2":
+        # M(5) - 2
+        assert json.loads(out)["clone_size"] == 7579
 
 
 def test_digest_file_covers_the_scale_inputs():
@@ -47,4 +67,5 @@ def test_digest_file_covers_the_scale_inputs():
         "census-bool2-n4.json",
         "census-mod3-n2.json",
         "census-boolean_ring-n4.json",
+        "census-lattice2-n5.json",
     ]

@@ -231,6 +231,40 @@ class TestCensusAndClone:
             assert code == 0
             assert [line.split("  <-  ")[1] for line in out.splitlines()[1:]] == texts
 
+    @pytest.mark.parametrize(
+        "name, n", [("bool2", 0), ("bool2", 1), ("bool2", 3), ("chain3", 4), ("odd", 3)]
+    )
+    def test_clone_list_json_is_the_indented_document(self, capsys, tmp_path, name, n):
+        # a name and symbols that json must escape: quote, backslash,
+        # newline, non-ASCII
+        symbols = ('"+"', "*\\", "\u00ac")
+        ops = tuple(
+            algebra.Operation(s, op.arity, op.table)
+            for s, op in zip(symbols, catalog.bool2().operations)
+        )
+        odd = algebra.FiniteAlgebra('odd "\\ name\n\u00e9', 2, ops)
+        alg = {"bool2": catalog.bool2(), "chain3": catalog.chain3(), "odd": odd}[name]
+        path = tmp_path / "alg.json"
+        dump_algebra(alg, path)
+        clone = clone_level(alg, n)
+        doc = {
+            "algebra": alg.name,
+            "n": n,
+            "size": clone.size,
+            "members": [
+                {"values": list(m.values), "witness": print_term(w)}
+                for m, w in zip(clone.members, clone.witnesses)
+            ],
+        }
+        code, out, _ = run(capsys, "clone", str(path), "--arity", str(n), "--list", "--json")
+        assert code == 0
+        # compared line by line: a failing diff of the whole text is slow
+        expected = json.dumps(doc, indent=2) + "\n"
+        assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+        del doc["members"]
+        code, out, _ = run(capsys, "clone", str(path), "--arity", str(n), "--json")
+        assert out == json.dumps(doc, indent=2) + "\n"
+
     def test_repeated_runs_identical(self, capsys, bu_path):
         _, first, _ = run(capsys, "census", bu_path, "--arity", "2", "--json")
         _, second, _ = run(capsys, "census", bu_path, "--arity", "2", "--json")
@@ -278,6 +312,35 @@ class TestWorkBudget:
         assert code == 1
         assert out == ""
         assert f"{estimate} entries, budget is 100000000" in err
+
+    @pytest.mark.parametrize(
+        "name, argv, message",
+        [
+            ("mod3", ("--arity", "3"), "clone budget exceeded: more than 1000000 members at arity 3"),
+            ("bool2", ("--arity", "5"), "clone budget exceeded: more than 1000000 members at arity 5"),
+            # M(6) - 2 = 7,828,352 members
+            (
+                "chain3",
+                ("--arity", "6"),
+                "the closure holds 137175 members x 3**6 entries, budget is 100000000",
+            ),
+            (
+                "chain3",
+                ("--arity", "4", "--max-clone-size", "100"),
+                "clone budget exceeded: more than 100 members at arity 4",
+            ),
+        ],
+    )
+    def test_known_clone_size_fails_fast(self, capsys, tmp_path, name, argv, message):
+        # the clone's size is known (primal; free spectrum), so the
+        # closure's own error comes before any closing
+        path = tmp_path / f"{name}.json"
+        algebras = {"bool2": catalog.bool2, "chain3": catalog.chain3, "mod3": catalog.mod3}
+        dump_algebra(algebras[name](), path)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "clone", str(path), *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_closure_over_budget(self, capsys, monkeypatch, bu_path):
         # under the real budget `clone --arity 14` stops the same way, after

@@ -366,6 +366,10 @@ class TestCloneLevel:
             return lambda data: composed.append(len(data)) or apply(data)
 
         monkeypatch.setattr(kernels, "lookup", counting)
+        # without the free-spectrum stop at its 18 members, chain3 runs to
+        # the fixpoint; no certificate closure is counted either
+        monkeypatch.setattr(complexity, "_free_spectrum", lambda alg, n: (None, 3**n))
+        _closure_route(monkeypatch)
         clone = clone_level(chain3, 3)
         # a member's round is the depth of its witness; one more round adds
         # nothing
@@ -522,7 +526,8 @@ def _random_algebra(rng, k, arities, keep=()):
 
 
 def _closure_route(monkeypatch):
-    """Make the census take the closure even for a primal algebra."""
+    """Treat no algebra as primal: the census takes the closure, and
+    `clone_level` does not refuse a primal clone before closing."""
     monkeypatch.setattr(complexity, "_primal", lambda alg, n, max_size: False)
 
 
@@ -568,7 +573,7 @@ class TestSubuniverseBound:
         stopped = listing(clone_level(br, 3))
         at_bound = sum(composed)
         composed.clear()
-        monkeypatch.setattr(complexity, "_subuniverse_bound", lambda alg, n: 2 ** 2**n)
+        monkeypatch.setattr(complexity, "_subuniverse_bound", lambda alg, n, lookups: 2 ** 2**n)
         assert listing(clone_level(br, 3)) == stopped == oracle.brute_clone(br, 3)
         assert len(stopped[0]) == 128
         # the fixpoint round composes more than the whole stopped closure
@@ -595,6 +600,205 @@ class TestSubuniverseBound:
             stops += clone.size == bound < k ** k**n
         assert stops >= 5
 
+
+def _lattice_algebra(rng, elements, meet, join, signature):
+    """The lattice on `elements` with these meet and join, its elements
+    numbered in random order, with the signature "min" (the meet alone),
+    "max" (the join alone) or "min/max" (both)."""
+    k = len(elements)
+    label = dict(zip(elements, rng.sample(range(k), k)))
+    ops = []
+    for symbol, fn in (("min", meet), ("max", join)):
+        if symbol in signature:
+            table = [0] * (k * k)
+            for a, b in product(elements, repeat=2):
+                table[label[a] * k + label[b]] = label[fn(a, b)]
+            ops.append(Operation(symbol, 2, tuple(table)))
+    return FiniteAlgebra("lattice", k, tuple(ops))
+
+
+def _random_distributive_lattice(rng, signature):
+    """A relabelled chain, product of two chains, or sublattice of the
+    subsets of {0, ..., m - 1}, with at least two elements."""
+    kind = rng.choice(["chain", "product", "subsets"])
+    if kind == "chain":
+        elements = list(range(rng.randint(2, 6)))
+        return _lattice_algebra(rng, elements, min, max, signature)
+    if kind == "product":
+        elements = list(product(range(rng.randint(2, 3)), range(rng.randint(1, 3))))
+        meet = lambda a, b: tuple(map(min, a, b))
+        join = lambda a, b: tuple(map(max, a, b))
+        return _lattice_algebra(rng, elements, meet, join, signature)
+    m = rng.randint(2, 3)
+    family = {frozenset(s) for s in (rng.sample(range(m), rng.randint(0, m)) for _ in range(3))}
+    family |= {frozenset(range(m))}
+    while len(family) < 2 or any(
+        a & b not in family or a | b not in family for a in family for b in family
+    ):
+        family |= {a & b for a in family for b in family} | {a | b for a in family for b in family}
+        family |= {frozenset(rng.sample(range(m), rng.randint(0, m)))}
+    elements = sorted(family, key=sorted)
+    return _lattice_algebra(rng, elements, frozenset.__and__, frozenset.__or__, signature)
+
+
+def _order_lattice(rng, elements, leq, signature):
+    """`_lattice_algebra` of the lattice whose order is the set of pairs
+    `leq`: a meet is the common lower bound above all others."""
+
+    def meet(x, y):
+        lower = [z for z in elements if (z, x) in leq and (z, y) in leq]
+        return next(z for z in lower if all((w, z) in leq for w in lower))
+
+    def join(x, y):
+        upper = [z for z in elements if (x, z) in leq and (y, z) in leq]
+        return next(z for z in upper if all((z, w) in leq for w in upper))
+
+    return _lattice_algebra(rng, elements, meet, join, signature)
+
+
+def _no_free_stop(monkeypatch):
+    """Turn off the closure's stops, so that it runs to the fixpoint."""
+    every = lambda alg, n, lookups: alg.carrier_size ** alg.carrier_size**n
+    monkeypatch.setattr(complexity, "_free_spectrum", lambda alg, n: (None, 0))
+    monkeypatch.setattr(complexity, "_subuniverse_bound", every)
+
+
+def _count(alg, n):
+    """The free-spectrum count with no cap on its lookups."""
+    return complexity._free_spectrum(alg, n, lookups=10**9)[0]
+
+
+class TestFreeSpectrum:
+    def test_dedekind_table_counts_monotone_functions(self):
+        assert [oracle.brute_monotone_count(n) for n in range(5)] == list(complexity._DEDEKIND[:5])
+
+    def test_catalog_counts(self, bu, br, sl, chain3, mod3):
+        assert [_count(sl, n) for n in range(6)] == [None, 1, 3, 7, 15, 31]
+        assert [_count(chain3, n) for n in range(7)] == [None, 1, 4, 18, 166, 7579, 7828352]
+        for alg in (bu, br, mod3):
+            assert [_count(alg, n) for n in range(4)] == [None] * 4
+        # past the table of Dedekind numbers
+        assert _count(chain3, len(complexity._DEDEKIND)) is None
+
+    def test_lookups_are_charged(self, br, sl, chain3):
+        spectrum = complexity._free_spectrum
+        # the checks read each table's 9 entries, within 3**3 lookups but
+        # not 3**2
+        assert spectrum(chain3, 3) == (18, 27 - 18)
+        assert spectrum(chain3, 2) == (None, 9 - 6)
+        assert spectrum(sl, 2) == (3, 0)
+        # + is not idempotent: its diagonal is read, and * is never read
+        assert spectrum(br, 3) == (None, 8 - 2)
+
+    @pytest.mark.parametrize("signature", ["min", "max", "min/max"])
+    def test_random_lattices_match_the_fixpoint(self, signature, monkeypatch):
+        rng = random.Random({"min": 71, "max": 73, "min/max": 79}[signature])
+        for _ in range(15):
+            alg = _random_distributive_lattice(rng, signature)
+            n = rng.choice([1, 2, 3, 3])
+            count = _count(alg, n)
+            assert count == (2**n - 1 if signature != "min/max" else complexity._DEDEKIND[n] - 2)
+            stopped = listing(clone_level(alg, n))
+            with monkeypatch.context() as m:
+                _no_free_stop(m)
+                fixpoint = listing(clone_level(alg, n))
+            assert len(fixpoint[0]) == count
+            assert stopped == fixpoint == oracle.brute_clone(alg, n)
+
+    def test_lattices_at_arity_4_reach_the_count_at_the_fixpoint(self, monkeypatch):
+        rng = random.Random(61)
+        algebras = [_random_distributive_lattice(rng, "min/max") for _ in range(3)]
+        stopped = [clone_level(alg, 4).tables for alg in algebras]
+        _no_free_stop(monkeypatch)
+        for alg, tables in zip(algebras, stopped):
+            assert clone_level(alg, 4).tables == tables
+            assert len(tables) == 166
+
+    def test_other_algebras_get_no_count(self, bu, br, mod3):
+        rng = random.Random(67)
+        # M3 and N5: lattices that are not distributive; in N5, a < c
+        elements = ["0", "a", "b", "c", "1"]
+        m3 = {(x, y) for x in elements for y in elements if x == y or x == "0" or y == "1"}
+        for leq in (m3, m3 | {("a", "c")}):
+            for n in (1, 2, 3):
+                assert _count(_order_lattice(rng, elements, leq, "min/max"), n) is None
+            # each half alone is a semilattice
+            for half in ("min", "max"):
+                assert _count(_order_lattice(rng, elements, leq, half), 3) == 7
+
+        def algebra_of(name, k, *tables):
+            ops = (Operation(f"f{i}", 2, tuple(t)) for i, t in enumerate(tables))
+            return FiniteAlgebra(name, k, tuple(ops))
+
+        pairs = list(product(range(3), repeat=2))
+        left_zero = algebra_of("left-zero", 3, [x for x, y in pairs])
+        doubled = algebra_of("min-min", 2, (0, 0, 0, 1), (0, 0, 0, 1))
+        one = algebra_of("one", 1, (0,))
+        # rock-paper-scissors: idempotent and commutative, not associative
+        rps = algebra_of("rps", 3, [x if (x - y) % 3 == 1 else y for x, y in pairs])
+        for alg in (left_zero, doubled, one, rps, bu, br, mod3):
+            for n in (1, 2, 3):
+                assert _count(alg, n) is None
+        for _ in range(30):
+            alg = _random_algebra(rng, 3, rng.choice([(2,), (2, 2)]))
+            if all(alg.operations[0].table[x * 4] == x for x in range(3)):
+                continue  # only operations that are not idempotent
+            assert _count(alg, 2) is None
+
+    def test_chain3_stops_after_its_last_member(self, chain3, monkeypatch):
+        composed = []
+        lookup = kernels.lookup
+
+        def counting(table, width):
+            apply = lookup(table, width)
+            return lambda data: composed.append(len(data) // 81) or apply(data)
+
+        monkeypatch.setattr(kernels, "lookup", counting)
+        stopped = listing(clone_level(chain3, 4))
+        assert len(stopped[0]) == 166
+        assert sum(composed) == 5914
+        composed.clear()
+        _no_free_stop(monkeypatch)
+        assert listing(clone_level(chain3, 4)) == stopped
+        assert sum(composed) == 27722
+
+    @pytest.mark.parametrize(
+        "name, n, max_size, budget",
+        [
+            ("chain3", 4, 166, None),
+            ("chain3", 4, 165, None),
+            ("chain3", 4, 162, None),
+            ("chain3", 4, 100, None),
+            ("chain3", 4, None, 166 * 81),
+            ("chain3", 4, None, 166 * 81 - 1),
+            ("chain3", 4, None, 163 * 81 - 1),
+            ("semilattice2", 4, 14, None),
+            ("semilattice2", 4, 11, None),
+            ("semilattice2", 4, None, 15 * 16 - 1),
+        ],
+    )
+    def test_budget_errors_match_the_closure(self, name, n, max_size, budget, monkeypatch):
+        # the last round adds members 163 to 166 of chain3 and 12 to 15 of
+        # semilattice2; a known size refuses before any closing
+        alg = {"chain3": catalog.chain3, "semilattice2": catalog.two_element_semilattice}[name]()
+        kwargs = {} if max_size is None else {"max_size": max_size}
+        if budget is not None:
+            monkeypatch.setattr(algebra, "WORK_BUDGET", budget)
+        closed = []
+        closure = complexity._closure
+        monkeypatch.setattr(complexity, "_closure", lambda *a: closed.append(a) or closure(*a))
+        early = _clone_or_error(alg, n, **kwargs)
+        if isinstance(early, str):
+            assert not closed
+        _no_free_stop(monkeypatch)
+        assert _clone_or_error(alg, n, **kwargs) == early
+
+
+def _clone_or_error(alg, n, **kwargs):
+    try:
+        return listing(clone_level(alg, n, **kwargs))
+    except BudgetError as exc:
+        return str(exc)
 
 class TestPrimalCensus:
     def test_catalog_certificates(self, bu, br, sl, chain3, mod3):
@@ -661,13 +865,13 @@ class TestPrimalCensus:
 
     def test_census_skips_the_closure(self, bu, mod3, monkeypatch):
         arities = []
-        closure = complexity.clone_level
+        closure = complexity._closure
 
-        def spy(alg, n, max_size=complexity.CLONE_BUDGET):
+        def spy(alg, n, max_size, bound):
             arities.append(n)
-            return closure(alg, n, max_size)
+            return closure(alg, n, max_size, bound)
 
-        monkeypatch.setattr(complexity, "clone_level", spy)
+        monkeypatch.setattr(complexity, "_closure", spy)
         for alg, n in ((bu, 2), (bu, 3), (mod3, 1), (mod3, 2)):
             census = algebra_n_complexity(alg, n)
             k = alg.carrier_size

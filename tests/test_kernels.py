@@ -77,6 +77,19 @@ def test_essential_mask_one_moving_position_at_arity_16():
         assert kernels.essential_mask(table, 2, 16) == 1
 
 
+def test_essential_mask_moving_only_past_the_first_blocks():
+    # one entry differs, at the end or in the middle: every position moves
+    # there, and only there, past the 64 lanes each position tries first
+    for k, arity in ((2, 10), (3, 6)):
+        size = k**arity
+        for where in (size - 1, size // 2 + 1):
+            values = tuple(int(i == where) for i in range(size))
+            expected = oracle.brute_ess(values, k, arity)
+            assert expected == set(range(1, arity + 1))
+            for table in table_forms(values, k):
+                assert kernels.indices_of_mask(kernels.essential_mask(table, k, arity)) == expected
+
+
 def test_restrict_against_oracle():
     rng = random.Random(303)
     for k in (1, 2, 3, 4):
