@@ -166,15 +166,22 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     complete. With no proper nonempty subuniverse that is all k**(k**n)
     functions.
     """
+    return _clone_level(alg, n, max_size)
+
+
+def _clone_level(alg, n, max_size, ask_primal=True):
+    """clone_level. `_primal` is asked only once the bound would be
+    refused, and not at all when the caller has found it false."""
     k = alg.carrier_size
-    size = _table_size(k, n)
+    _table_size(k, n)
     bound, exact = _clone_bound(alg, n)
-    # the closure refuses this member, if it gets that far
-    refused = min(max_size + 1, algebra.WORK_BUDGET // size + 1)
-    # the bound is the clone's size when exact, and for a primal algebra,
-    # all k**size functions: a closure that would be refused is refused now
-    if exact or (refused <= bound and _primal(alg, n, max_size)):
-        _admit(min(bound, refused), max_size, k, n)
+    try:
+        _refuse(bound, max_size, k, n)
+    except BudgetError:
+        # the bound is the clone's size when exact, and for a primal
+        # algebra, all k**(k**n) functions: such a closure is refused now
+        if exact or (ask_primal and _primal(alg, n, max_size)):
+            raise
     return _closure(alg, n, max_size, bound)
 
 
@@ -266,6 +273,12 @@ def _admit(members, max_size, k, n):
     _check_work(members * k**n, f"the closure holds {members} members x {k}**{n}")
 
 
+def _refuse(count, max_size, k, n):
+    """Raise the BudgetError a closure to `count` members raises on the
+    way: at its first member over `max_size` or WORK_BUDGET, if any."""
+    _admit(min(count, max_size + 1, algebra.WORK_BUDGET // k**n + 1), max_size, k, n)
+
+
 def _clone_bound(alg, n):
     """(bound, exact): the n-ary clone has at most `bound` members, and
     exactly that many when `exact`. The free-spectrum count is exact;
@@ -312,7 +325,9 @@ def _free_spectrum(alg, n, lookups=None):
     """
     k, ops = alg.carrier_size, alg.operations
     left = k**n if lookups is None else lookups
-    if k < 2 or not 1 <= n < len(_DEDEKIND) or len(ops) > 2 or any(op.arity != 2 for op in ops):
+    if k < 2 or not 1 <= n < len(_DEDEKIND) or not 1 <= len(ops) <= 2:
+        return None, left
+    if any(op.arity != 2 for op in ops):
         return None, left
     for op in ops:
         if k > left:
@@ -473,12 +488,11 @@ def algebra_n_complexity(
     if _primal(alg, n, max_size):
         size = k**n
         count = k**size
-        # the closure refuses its first member over max_size or WORK_BUDGET
-        _admit(min(count, max_size + 1, algebra.WORK_BUDGET // size + 1), max_size, k, n)
+        _refuse(count, max_size, k, n)
         width = kernels.lane_width(k, ())
         tables = _all_tables(k, size, width)
     else:
-        clone = clone_level(alg, n, max_size)
+        clone = _clone_level(alg, n, max_size, ask_primal=False)
         count, width, tables = clone.size, clone.width, b"".join(clone.tables)
     _check_work(
         (2**n - 1) * count * k**n,

@@ -33,26 +33,17 @@ def essential_mask(values, k, arity):
     """Bitmask of the positions the tabulated function depends on.
 
     Position p is essential when some lane whose digit at p is 0 differs
-    from the lane d * stride above it, 0 < d < k. The first block's
-    segments are compared first, as bytes, up to 64 lanes each; only a
-    position that does not move there takes a pass over the whole table,
-    where the XOR of the table's integer with its shift is tested under a
-    mask of those whole lanes.
+    from the lane d * stride above it, 0 < d < k: the XOR of the table's
+    integer with its shift by d * stride lanes, under a mask of those
+    whole lanes, is nonzero.
     """
     if not isinstance(values, bytes):
         values = pack(values, lane_width(k, ()))
     width = len(values) // k**arity
-    x = None
+    x = int.from_bytes(values, "little")
     mask = 0
     for p in range(arity):
-        stride = k ** (arity - 1 - p)
-        segment = width * stride  # bytes of the lanes of one digit at p
-        head = min(segment, 64 * width)
-        if any(values[:head] != values[d * segment : d * segment + head] for d in range(1, k)):
-            mask |= 1 << p
-            continue
-        if x is None:
-            x = int.from_bytes(values, "little")
+        segment = width * k ** (arity - 1 - p)  # bytes of the lanes of one digit at p
         lanes = int.from_bytes((b"\xff" * segment + bytes(segment * (k - 1))) * k**p, "little")
         if any((x ^ x >> 8 * segment * d) & lanes for d in range(1, k)):
             mask |= 1 << p

@@ -413,6 +413,14 @@ class TestCloneLevel:
         one = FiniteAlgebra("one", 1, (Operation("f", 2, (0,)),))
         assert listing(clone_level(one, 3)) == ([(0,)], ["x1"])
 
+    def test_no_operations(self):
+        # the clone is the projections; no free-spectrum count applies
+        bare = FiniteAlgebra("bare", 2, ())
+        assert _count(bare, 2) is None
+        assert listing(clone_level(bare, 2)) == ([(0, 0, 1, 1), (0, 1, 0, 1)], ["x1", "x2"])
+        census = algebra_n_complexity(bare, 2)
+        assert (census.clone_size, census.total) == (2, 4)
+
 
 class TestCensus:
     def test_bool2_arity_1(self, bu):
@@ -946,6 +954,22 @@ class TestPrimalCensus:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_census_asks_the_certificate_once(self, br, monkeypatch):
+        # boolean_ring is not primal, and at max_size 100 its bound at
+        # arity 3 would be refused, which is when clone_level asks
+        calls = []
+        primal = complexity._primal
+        monkeypatch.setattr(
+            complexity, "_primal", lambda *a: calls.append(a) or primal(*a)
+        )
+        with pytest.raises(BudgetError, match="more than 100 members"):
+            algebra_n_complexity(br, 3, max_size=100)
+        assert calls == [(br, 3, 100)]
+        calls.clear()
+        with pytest.raises(BudgetError, match="more than 100 members"):
+            clone_level(br, 3, max_size=100)
+        assert calls == [(br, 3, 100)]
 
     def test_mod3_at_the_budget_boundary(self, mod3, monkeypatch):
         monkeypatch.setattr(algebra, "WORK_BUDGET", 531441)

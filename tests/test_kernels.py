@@ -79,7 +79,7 @@ def test_essential_mask_one_moving_position_at_arity_16():
 
 def test_essential_mask_moving_only_past_the_first_blocks():
     # one entry differs, at the end or in the middle: every position moves
-    # there, and only there, past the 64 lanes each position tries first
+    # there, and only there, so a test of the first block alone misses it
     for k, arity in ((2, 10), (3, 6)):
         size = k**arity
         for where in (size - 1, size // 2 + 1):
