@@ -195,9 +195,15 @@ def _cmd_cp(args) -> int:
     return 0
 
 
+def _clone_arity(args) -> int:
+    if args.arity < 0:
+        raise UsageError(f"--arity {args.arity} is negative")
+    return args.arity
+
+
 def _cmd_census(args) -> int:
     alg = load_algebra(args.algebra)
-    census = complexity.algebra_n_complexity(alg, args.arity, args.max_clone_size)
+    census = complexity.algebra_n_complexity(alg, _clone_arity(args), args.max_clone_size)
     if args.json:
         sys.stdout.write(census.to_json())
         return 0
@@ -228,7 +234,7 @@ def _witness_texts(witnesses):
 
 def _cmd_clone(args) -> int:
     alg = load_algebra(args.algebra)
-    clone = complexity.clone_level(alg, args.arity, args.max_clone_size)
+    clone = complexity.clone_level(alg, _clone_arity(args), args.max_clone_size)
     # the closure built these tables, so they need no FunctionTable check
     values = (list(kernels.unpack(t, clone.width)) for t in clone.tables)
     texts = _witness_texts(clone.witnesses) if args.list else ()

@@ -164,14 +164,10 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     the free spectrum counts or else as there are n-ary functions
     preserving every subuniverse: the clone has no more, so it is then
     complete. With no proper nonempty subuniverse that is all k**(k**n)
-    functions.
+    functions. Raises ValueError for n < 0.
     """
-    return _clone_level(alg, n, max_size)
-
-
-def _clone_level(alg, n, max_size, ask_primal=True):
-    """clone_level. `_primal` is asked only once the bound would be
-    refused, and not at all when the caller has found it false."""
+    if n < 0:
+        raise ValueError(f"clone arity must be >= 0, got {n}")
     k = alg.carrier_size
     _table_size(k, n)
     bound, exact = _clone_bound(alg, n)
@@ -180,7 +176,7 @@ def _clone_level(alg, n, max_size, ask_primal=True):
     except BudgetError:
         # the bound is the clone's size when exact, and for a primal
         # algebra, all k**(k**n) functions: such a closure is refused now
-        if exact or (ask_primal and _primal(alg, n, max_size)):
+        if exact or _primal(alg, n, max_size):
             raise
     return _closure(alg, n, max_size, bound)
 
@@ -298,8 +294,8 @@ _DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 5613043722868755790
 def _free_spectrum(alg, n, lookups=None):
     """(count, lookups left): the number of n-ary term operations of a
     nontrivial semilattice (one binary operation) or distributive lattice
-    (two); for any other algebra, for n < 1 and past the table of
-    Dedekind numbers the count is None.
+    (two); for any other algebra, for n < 1 and for a lattice past the
+    table of Dedekind numbers the count is None.
 
     The n-ary clone of A is the free algebra on n generators of the
     variety A generates (Birkhoff 1935). A nontrivial semilattice
@@ -325,7 +321,8 @@ def _free_spectrum(alg, n, lookups=None):
     """
     k, ops = alg.carrier_size, alg.operations
     left = k**n if lookups is None else lookups
-    if k < 2 or not 1 <= n < len(_DEDEKIND) or not 1 <= len(ops) <= 2:
+    most = 2 if n < len(_DEDEKIND) else 1  # operations that can have a count
+    if k < 2 or n < 1 or not 1 <= len(ops) <= most:
         return None, left
     if any(op.arity != 2 for op in ops):
         return None, left
@@ -477,22 +474,31 @@ def algebra_n_complexity(
 ) -> AlgebraCensus:
     """Sum cp3 over every n-ary clone member, grouping members by total.
 
-    One table's count is checked before the closure; once the clone is
-    known, the count over all its members is charged in full. A primal
-    algebra (`_primal`) skips the closure: its clone is every function,
-    counted straight from their tables, with the budget errors the
-    closure would raise on the way to k**(k**n) members.
+    One table's count is checked before the clone is built; once the
+    clone is known, the count over all its members is charged in full.
+    A semilattice or distributive lattice (`_free_spectrum`), then a
+    primal algebra (`_primal`), skip the closure: their tables are built
+    directly (`_free_tables`, `_all_tables`) once the budget errors the
+    closure would raise on the way to their known number are ruled out.
+    Other algebras take the closure. Raises ValueError for n < 0.
     """
+    if n < 0:
+        raise ValueError(f"clone arity must be >= 0, got {n}")
     k = alg.carrier_size
     _check_cp3_work(k, n)
-    if _primal(alg, n, max_size):
+    count, lookups = _free_spectrum(alg, n)
+    if count is not None:
+        _refuse(count, max_size, k, n)
+        width = kernels.lane_width(k, (2,))
+        tables = b"".join(_free_tables(alg, n, width))
+    elif _primal(alg, n, max_size):
         size = k**n
         count = k**size
         _refuse(count, max_size, k, n)
         width = kernels.lane_width(k, ())
         tables = _all_tables(k, size, width)
     else:
-        clone = _clone_level(alg, n, max_size, ask_primal=False)
+        clone = _closure(alg, n, max_size, _subuniverse_bound(alg, n, lookups))
         count, width, tables = clone.size, clone.width, b"".join(clone.tables)
     _check_work(
         (2**n - 1) * count * k**n,
@@ -506,6 +512,54 @@ def algebra_n_complexity(
         buckets[t] = buckets.get(t, 0) + 1
     histogram = {c: buckets[c] for c in sorted(buckets, reverse=True)}
     return AlgebraCensus(alg.name, n, count, total, histogram)
+
+
+def _free_tables(alg, n, width):
+    """Lane bytes of each n-ary term operation, once, of an algebra that
+    `_free_spectrum` counts, with operations * and then +.
+
+    Every term of a semilattice is a meet x_S = *(x_i : i in S) over a
+    nonempty set S of variables. In a lattice, distributivity and then
+    absorption make every term the join over a nonempty antichain of
+    such sets (dually when * is the join). A depth-first walk extends
+    each antichain by later incomparable sets only, so it reaches each
+    once. A meet is one lookup of a smaller meet and a projection, a
+    join one of its parent antichain's join and a meet. No two are
+    equal: take a two-element chain a < b in the algebra, ordered so
+    that a * b = a. At the point that is b on a set U of variables and
+    a elsewhere, the join over an antichain is b exactly when U holds
+    one of its sets, so the antichain is the family of minimal such U.
+    """
+    k = alg.carrier_size
+    step = k**n * width
+    meet, *joins = [kernels.lookup(op.table, width) for op in alg.operations]
+    tables = []
+    meets = [0] * (1 << n)  # as integers; bit p of s stands for x_(p+1)
+    for s in range(1, 1 << n):
+        rest = s & (s - 1)
+        table = kernels.projection_lanes((s ^ rest).bit_length(), n, k, width)
+        if rest:
+            table = meet((meets[rest] * k + int.from_bytes(table, "little")).to_bytes(step, "little"))
+        meets[s] = int.from_bytes(table, "little")
+        tables.append(table)
+    if not joins:
+        return tables
+    (join,) = joins
+    # the sets incomparable with s, as a bitset over the sets
+    apart = [sum(1 << t for t in range(1 << n) if t & s not in (s, t)) for s in range(1 << n)]
+    # (table, the later sets incomparable with all of its antichain)
+    stack = [(meets[s], apart[s] >> s + 1 << s + 1) for s in range(1, 1 << n)]
+    while stack:
+        x, later = stack.pop()
+        x *= k
+        while later:
+            t = (later & -later).bit_length() - 1
+            later ^= 1 << t
+            table = join((x + meets[t]).to_bytes(step, "little"))
+            tables.append(table)
+            if later & apart[t]:
+                stack.append((int.from_bytes(table, "little"), later & apart[t]))
+    return tables
 
 
 def _primal(alg, n, max_size):

@@ -179,6 +179,17 @@ def brute_clone(alg, n):
     return tables, texts
 
 
+def brute_census(alg, n):
+    """(clone size, total, histogram) of cp3 summed over the members of
+    `brute_clone`."""
+    members, _ = brute_clone(alg, n)
+    hist = {}
+    for table in members:
+        _, t = brute_cp3_report(table, alg.carrier_size, n)
+        hist[t] = hist.get(t, 0) + 1
+    return len(members), sum(t * c for t, c in hist.items()), hist
+
+
 def brute_monotone_count(n):
     """Number of monotone Boolean functions of n variables, f(a) <= f(b)
     whenever a <= b in every coordinate, by trying every table."""

@@ -1,7 +1,7 @@
 """Census outputs at scale: byte-identical to the digests in
 census_scale.sha256, which were taken from earlier outputs; for
 algebras that generate every function, equal to the closed form, and
-for the 2-element lattice, of M(5) - 2 members."""
+for the 2-element lattice and the 3-element chain, of M(5) - 2 members."""
 
 import hashlib
 import json
@@ -32,9 +32,12 @@ ALGEBRAS = {
     "boolean_ring": catalog.boolean_ring,
     "mod3": catalog.mod3,
     "lattice2": lattice2,
+    "chain3": catalog.chain3,
 }
 # bool2 and mod3 are primal: their clones hold every function
 EVERY_FUNCTION = {"bool2", "mod3"}
+# distributive lattices: their clones at n = 5 hold M(5) - 2 members
+LATTICES = {"lattice2", "chain3"}
 
 
 def _entries():
@@ -56,8 +59,7 @@ def test_census_at_scale(name, n, digest, tmp_path, capsys):
     if name in EVERY_FUNCTION:
         total = json.loads(out)["total"]
         assert total == oracle.census_total_all_functions(alg.carrier_size, n)
-    if name == "lattice2":
-        # M(5) - 2
+    if name in LATTICES:
         assert json.loads(out)["clone_size"] == 7579
 
 
@@ -68,4 +70,5 @@ def test_digest_file_covers_the_scale_inputs():
         "census-mod3-n2.json",
         "census-boolean_ring-n4.json",
         "census-lattice2-n5.json",
+        "census-chain3-n5.json",
     ]

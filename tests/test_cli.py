@@ -190,6 +190,15 @@ class TestCensusAndClone:
         code, _, _ = run(capsys, "census", bu_path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("census", "--arity", "-1", "--json"), ("clone", "--arity", "-2", "--list")]
+    )
+    def test_negative_arity_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "chain3.json"
+        dump_algebra(catalog.chain3(), path)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"usage error: --arity {argv[2]} is negative\n")
+
     def test_census_full_ternary_run(self, capsys, bu_path):
         code, out, _ = run(capsys, "census", bu_path, "--arity", "3", "--json")
         assert code == 0
@@ -312,6 +321,15 @@ class TestWorkBudget:
         assert code == 1
         assert out == ""
         assert f"{estimate} entries, budget is 100000000" in err
+
+    def test_semilattice_census_fails_fast_past_the_dedekind_table(self, capsys, sl_path):
+        # its 4095 meets are counted and built without a closure, which
+        # ran on towards its fixpoint
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", sl_path, "--arity", "12")
+        assert time.perf_counter() - start < 1.0
+        estimate = "the census's cp3 needs 2**12 - 1 sets x 4095 members x 2**12 entries"
+        assert (code, out, err) == (1, "", f"error: {estimate}, budget is 100000000\n")
 
     @pytest.mark.parametrize(
         "name, argv, message",

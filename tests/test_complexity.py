@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -400,6 +401,13 @@ class TestCloneLevel:
         clone = clone_level(bu, 0)
         assert clone.members == clone.witnesses == ()
 
+    def test_negative_arity_rejected(self, bu, chain3):
+        for alg in (bu, chain3):
+            with pytest.raises(ValueError, match="clone arity must be >= 0, got -1"):
+                clone_level(alg, -1)
+            with pytest.raises(ValueError, match="clone arity must be >= 0, got -2"):
+                algebra_n_complexity(alg, -2)
+
     def test_deterministic(self, bu):
         a = clone_level(bu, 3)
         b = clone_level(bu, 3)
@@ -612,16 +620,16 @@ class TestSubuniverseBound:
 def _lattice_algebra(rng, elements, meet, join, signature):
     """The lattice on `elements` with these meet and join, its elements
     numbered in random order, with the signature "min" (the meet alone),
-    "max" (the join alone) or "min/max" (both)."""
+    "max" (the join alone), "min/max" or "max/min" (both, in that order)."""
     k = len(elements)
     label = dict(zip(elements, rng.sample(range(k), k)))
     ops = []
-    for symbol, fn in (("min", meet), ("max", join)):
-        if symbol in signature:
-            table = [0] * (k * k)
-            for a, b in product(elements, repeat=2):
-                table[label[a] * k + label[b]] = label[fn(a, b)]
-            ops.append(Operation(symbol, 2, tuple(table)))
+    for symbol in signature.split("/"):
+        fn = {"min": meet, "max": join}[symbol]
+        table = [0] * (k * k)
+        for a, b in product(elements, repeat=2):
+            table[label[a] * k + label[b]] = label[fn(a, b)]
+        ops.append(Operation(symbol, 2, tuple(table)))
     return FiniteAlgebra("lattice", k, tuple(ops))
 
 
@@ -685,8 +693,9 @@ class TestFreeSpectrum:
         assert [_count(chain3, n) for n in range(7)] == [None, 1, 4, 18, 166, 7579, 7828352]
         for alg in (bu, br, mod3):
             assert [_count(alg, n) for n in range(4)] == [None] * 4
-        # past the table of Dedekind numbers
+        # past the table of Dedekind numbers only a semilattice has a count
         assert _count(chain3, len(complexity._DEDEKIND)) is None
+        assert [_count(sl, n) for n in (9, 12)] == [511, 4095]
 
     def test_lookups_are_charged(self, br, sl, chain3):
         spectrum = complexity._free_spectrum
@@ -800,6 +809,110 @@ class TestFreeSpectrum:
             assert not closed
         _no_free_stop(monkeypatch)
         assert _clone_or_error(alg, n, **kwargs) == early
+
+
+class TestFreeCensus:
+    """The census of a semilattice or distributive lattice from the
+    free-spectrum tables, with no closure."""
+
+    @pytest.mark.parametrize("signature", ["min", "max", "min/max", "max/min"])
+    def test_equals_the_closure_and_the_oracle(self, signature, monkeypatch):
+        rng = random.Random({"min": 83, "max": 89, "min/max": 97, "max/min": 101}[signature])
+        catalog_cases = [(catalog.chain3(), 4), (catalog.two_element_semilattice(), 4)]
+        # 17 elements: two-byte lanes hold the operation-table indices
+        wide = (_lattice_algebra(rng, list(range(17)), min, max, signature), 3)
+        # the smallest arities whose k**n lookups recognise the algebra
+        arities = (3, 4) if "/" in signature else (2, 3, 4)
+        random_cases = [
+            (_random_distributive_lattice(rng, signature), arities[i % len(arities)])
+            for i in range(12)
+        ]
+        closed = []
+        closure = complexity._closure
+        monkeypatch.setattr(complexity, "_closure", lambda *a: closed.append(a) or closure(*a))
+        judged = 0
+        for alg, n in catalog_cases * (signature == "min/max") + [wide] + random_cases:
+            census = algebra_n_complexity(alg, n)
+            assert not closed
+            assert complexity._free_spectrum(alg, n)[0] == census.clone_size
+            tables = complexity._free_tables(alg, n, kernels.lane_width(alg.carrier_size, (2,)))
+            assert len(set(tables)) == len(tables) == _count(alg, n) == census.clone_size
+            assert set(tables) == set(clone_level(alg, n).tables)
+            # the oracle's cp3 takes seconds past 64 entries
+            if n <= 3 and alg.carrier_size**n <= 64:
+                assert oracle.brute_census(alg, n) == (
+                    census.clone_size,
+                    census.total,
+                    dict(census.histogram),
+                )
+                judged += 1
+            with monkeypatch.context() as m:
+                _no_free_stop(m)
+                assert algebra_n_complexity(alg, n).to_json() == census.to_json()
+            closed.clear()
+        assert judged >= 3
+
+    def test_refused_before_any_table_is_built(self, chain3, monkeypatch):
+        # at n = 6 the M(6) - 2 = 7,828,352 tables would take 5.7 GB
+        built = []
+        monkeypatch.setattr(complexity, "_free_tables", lambda *a: built.append(a))
+        with pytest.raises(BudgetError, match=r"the closure holds 137175 members x 3\*\*6 entries"):
+            algebra_n_complexity(chain3, 6)
+        with pytest.raises(BudgetError, match="more than 100 members at arity 4"):
+            algebra_n_complexity(chain3, 4, max_size=100)
+        assert not built
+
+    def test_semilattice_closed_form(self, sl, monkeypatch):
+        # x_S of s variables has cp3 2**(n - s) at each nonempty set within
+        # S, so the total is the sum over s of C(n, s) (2**s - 1) 2**(n - s)
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 10**9)
+        for n in (1, 4, 9):
+            census = algebra_n_complexity(sl, n)
+            assert census.clone_size == 2**n - 1
+            assert census.total == 4**n - 3**n
+            histogram = Counter()
+            for s in range(1, n + 1):
+                histogram[(2**s - 1) * 2 ** (n - s)] += comb(n, s)
+            assert dict(census.histogram) == histogram
+
+    @pytest.mark.parametrize(
+        "name, n, option, value",
+        [("chain3", 4, "--max-clone-size", v) for v in (100, 162, 163, 165, 166)]
+        + [("semilattice2", 4, "--max-clone-size", v) for v in (11, 12, 14, 15)]
+        + [
+            ("chain3", 4, "WORK_BUDGET", 166 * 81),
+            ("chain3", 4, "WORK_BUDGET", 166 * 81 - 1),
+            ("semilattice2", 4, "WORK_BUDGET", 15 * 16 - 1),
+            # M(5) - 2 = 7579 members of 12**5 entries
+            ("chain12", 5, "--max-clone-size", 100),
+            # 12**6 entries are over TABLE_BUDGET
+            ("chain12", 6, None, None),
+        ],
+    )
+    def test_budget_errors_match_the_closure(
+        self, tmp_path, monkeypatch, capsys, name, n, option, value
+    ):
+        # the last round of the closure adds members 163 to 166 of chain3
+        # and 12 to 15 of semilattice2
+        algebras = {
+            "chain3": catalog.chain3,
+            "semilattice2": catalog.two_element_semilattice,
+            "chain12": lambda: _lattice_algebra(random.Random(7), list(range(12)), min, max, "min/max"),
+        }
+        path = tmp_path / f"{name}.json"
+        dump_algebra(algebras[name](), path)
+        argv = ["census", str(path), "--arity", str(n), "--json"]
+        if option == "WORK_BUDGET":
+            # with no per-set floor one table's cp3 comes in under these
+            monkeypatch.setattr(algebra, "_CP3_SET_FLOOR", 1)
+            monkeypatch.setattr(algebra, "WORK_BUDGET", value)
+        elif option is not None:
+            argv += [option, str(value)]
+        free = cli.main(argv), capsys.readouterr()
+        _no_free_stop(monkeypatch)
+        assert (cli.main(argv), capsys.readouterr()) == free
+        # only a clone size limit at the whole clone lets the census through
+        assert free[0] == (0 if option == "--max-clone-size" and value in (166, 15) else 1)
 
 
 def _clone_or_error(alg, n, **kwargs):
