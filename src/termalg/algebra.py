@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -113,26 +114,25 @@ class FiniteAlgebra:
         raise TermError(f"unknown operation symbol {symbol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FunctionTable:
-    """An n-ary function on the carrier, stored as a flat value tuple."""
+    """An n-ary function on the carrier, stored as lane bytes: one
+    little-endian lane of `kernels.lane_width(k, ())` bytes per entry, in
+    index order. `values` unpacks them into a tuple on first use."""
 
     arity: int
     carrier_size: int
-    values: tuple
+    lanes: bytes
 
-    def __post_init__(self):
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        k = self.carrier_size
-        if self.arity < 0 or k < 1:
-            raise AlgebraError(
-                f"bad table shape: arity {self.arity}, carrier {k}"
-            )
-        if len(values) != k**self.arity:
-            raise AlgebraError(
-                f"table length {len(values)}, expected {k}^{self.arity}"
-            )
+    def __init__(self, arity: int, carrier_size: int, values: Iterable[int]):
+        values = tuple(values)
+        k = carrier_size
+        if arity < 0 or k < 1:
+            raise AlgebraError(f"bad table shape: arity {arity}, carrier {k}")
+        # for k >= 2, k**arity > len(values) from this arity on, and the
+        # power itself may be too large to compute
+        if k > 1 and arity >= len(values).bit_length() or len(values) != k**arity:
+            raise AlgebraError(f"table length {len(values)}, expected {k}^{arity}")
         # whole-table passes decide; the scan only names the first bad entry
         if not (
             all(issubclass(t, int) for t in set(map(type, values)))
@@ -144,6 +144,25 @@ class FunctionTable:
                     raise AlgebraError(
                         f"table entry {v!r} at position {j} is outside 0..{k - 1}"
                     )
+        lanes = kernels.pack(values, kernels.lane_width(k, ()))
+        self.__dict__.update(arity=arity, carrier_size=k, lanes=lanes, values=values)
+
+    @classmethod
+    def _from_lanes(cls, arity: int, k: int, lanes: bytes) -> "FunctionTable":
+        """The unchecked table of lane bytes the library built. Lanes
+        wider than the value width, as tabulation and the closure build
+        them, are narrowed to it, so that equal functions are equal
+        tables."""
+        width, narrow = len(lanes) // k**arity, kernels.lane_width(k, ())
+        if width > narrow:
+            lanes = kernels.pack(kernels.unpack(lanes, width), narrow)
+        table = cls.__new__(cls)
+        table.__dict__.update(arity=arity, carrier_size=k, lanes=lanes)
+        return table
+
+    @cached_property
+    def values(self) -> tuple:
+        return kernels.unpack(self.lanes, kernels.lane_width(self.carrier_size, ()))
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
@@ -179,16 +198,17 @@ def projection_table(i: int, n: int, k: int) -> FunctionTable:
     """Table of the n-ary projection onto the i-th coordinate (1-based)."""
     if not 1 <= i <= n:
         raise TermError(f"projection index {i} outside 1..{n}")
-    width = kernels.lane_width(k, ())
-    lanes = kernels.projection_lanes(i, n, k, width)
-    return FunctionTable(n, k, kernels.unpack(lanes, width))
+    _table_size(k, n)
+    lanes = kernels.projection_lanes(i, n, k, kernels.lane_width(k, ()))
+    return FunctionTable._from_lanes(n, k, lanes)
 
 
 def constant_table(value: int, n: int, k: int) -> FunctionTable:
     """Table of the n-ary constant operation with the given value."""
     if not 0 <= value < k:
         raise TermError(f"constant {value} outside carrier 0..{k - 1}")
-    return FunctionTable(n, k, (value,) * (k**n))
+    lanes = kernels.constant_lanes(value, _table_size(k, n), kernels.lane_width(k, ()))
+    return FunctionTable._from_lanes(n, k, lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +351,7 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
         args = [tab(c) for c in t.children]
         return kernels.compose(op.table, op.arity, args, k, size)
 
-    return FunctionTable(n, k, kernels.unpack(tab(term), width))
+    return FunctionTable._from_lanes(n, k, tab(term))
 
 
 def restrict_table(table: FunctionTable, evaluation) -> FunctionTable:
@@ -350,8 +370,8 @@ def restrict_table(table: FunctionTable, evaluation) -> FunctionTable:
             raise AlgebraError(f"assigned value {v} for x{i} outside 0..{k - 1}")
         positions.append(i - 1)
         constants.append(v)
-    values = kernels.restrict(table.values, k, table.arity, positions, constants)
-    return FunctionTable(table.arity, k, values)
+    lanes = kernels.restrict(table.lanes, k, table.arity, positions, constants)
+    return FunctionTable._from_lanes(table.arity, k, lanes)
 
 
 # ---------------------------------------------------------------------------

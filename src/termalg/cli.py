@@ -361,6 +361,10 @@ def main(argv=None) -> int:
     except (TermAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # parsing, tabulating and printing recurse once per nesting level
+        print("error: term nested too deeply for the recursion limit", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

@@ -90,7 +90,7 @@ def cp3_set(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) -> in
     if not m:
         raise ValueError("cp3 is defined for nonempty variable sets")
     table = induced_operation(term, alg, n)
-    return kernels.cp3_count(table.values, alg.carrier_size, n, kernels.mask_of_indices(m))
+    return kernels.cp3_count(table.lanes, alg.carrier_size, n, kernels.mask_of_indices(m))
 
 
 def cp3_total(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> ComplexityReport:
@@ -102,7 +102,7 @@ def cp3_total(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> Comple
 def cp3_of_table(table: FunctionTable) -> ComplexityReport:
     """cp3 report computed directly from a tabulated function."""
     _check_cp3_work(table.carrier_size, table.arity)
-    counts = kernels.cp3_counts(table.values, table.carrier_size, table.arity)
+    counts = kernels.cp3_counts(table.lanes, table.carrier_size, table.arity)
     return ComplexityReport.from_counts(counts, table.arity)
 
 
@@ -128,7 +128,8 @@ class CloneLevel:
     held as many members as the clone can have (`clone_level`).
 
     `tables` holds the members as the closure built them, lane bytes of
-    `width` bytes per entry; `members` unpacks them on first use.
+    `width` bytes per entry; `members` makes them FunctionTables on first
+    use.
     """
 
     arity: int
@@ -139,8 +140,7 @@ class CloneLevel:
 
     @cached_property
     def members(self) -> tuple:
-        k, n, width = self.carrier_size, self.arity, self.width
-        return tuple(FunctionTable(n, k, kernels.unpack(t, width)) for t in self.tables)
+        return tuple(FunctionTable._from_lanes(self.arity, self.carrier_size, t) for t in self.tables)
 
     @property
     def size(self) -> int:
@@ -277,13 +277,12 @@ def _refuse(count, max_size, k, n):
 
 def _clone_bound(alg, n):
     """(bound, exact): the n-ary clone has at most `bound` members, and
-    exactly that many when `exact`. The free-spectrum count is exact;
-    without one, the subuniverse bound takes what is left of their
-    shared allowance of k**n lookups."""
-    count, lookups = _free_spectrum(alg, n)
+    exactly that many when `exact`: the free-spectrum count where there
+    is one, else the subuniverse bound."""
+    count = _free_spectrum(alg, n)
     if count is not None:
         return count, True
-    return _subuniverse_bound(alg, n, lookups), False
+    return _subuniverse_bound(alg, n), False
 
 
 # Dedekind numbers M(n) = the monotone Boolean functions of n variables
@@ -291,11 +290,11 @@ def _clone_bound(alg, n):
 _DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788)
 
 
-def _free_spectrum(alg, n, lookups=None):
-    """(count, lookups left): the number of n-ary term operations of a
-    nontrivial semilattice (one binary operation) or distributive lattice
-    (two); for any other algebra, for n < 1 and for a lattice past the
-    table of Dedekind numbers the count is None.
+def _free_spectrum(alg, n):
+    """The number of n-ary term operations of a nontrivial semilattice
+    (one binary operation) or distributive lattice (two); for any other
+    algebra, for n < 1 and for a lattice past the table of Dedekind
+    numbers the count is None.
 
     The n-ary clone of A is the free algebra on n generators of the
     variety A generates (Birkhoff 1935). A nontrivial semilattice
@@ -313,41 +312,28 @@ def _free_spectrum(alg, n, lookups=None):
     that is not distributive has M3 or N5 as a sublattice, which both
     break it).
 
-    The checks read each table entry a bounded number of times, so
-    they are charged the entries: the diagonals first, which reject a
-    non-idempotent operation after k lookups, then the rest. They take
-    at most `lookups` of them, by default k**n, one table's worth; past
-    that the count is None.
+    The checks read each entry of the binary tables a bounded number of
+    times, so they cost no more than loading the algebra, which visited
+    every entry: they need no budget, at any n.
     """
     k, ops = alg.carrier_size, alg.operations
-    left = k**n if lookups is None else lookups
     most = 2 if n < len(_DEDEKIND) else 1  # operations that can have a count
-    if k < 2 or n < 1 or not 1 <= len(ops) <= most:
-        return None, left
-    if any(op.arity != 2 for op in ops):
-        return None, left
-    for op in ops:
-        if k > left:
-            return None, left
-        left -= k
-        if any(op.table[x * (k + 1)] != x for x in range(k)):
-            return None, left
-    rest = (k * k - k) * len(ops)
-    if rest > left:
-        return None, left
-    left -= rest
+    if k < 2 or n < 1 or not 1 <= len(ops) <= most or any(op.arity != 2 for op in ops):
+        return None
+    if any(op.table[x * (k + 1)] != x for op in ops for x in range(k)):
+        return None
     below = [_below(op.table, k) for op in ops]
     if None in below:
-        return None, left
+        return None
     if len(ops) == 1:
-        return 2**n - 1, left
+        return 2**n - 1
     meet, join = below
     f, g = (op.table for op in ops)
     if any((meet[x] >> z & 1) != (join[z] >> x & 1) for x in range(k) for z in range(k)):
-        return None, left
+        return None
     if any(len(set(zip(f[a * k : a * k + k], g[a * k : a * k + k]))) < k for a in range(k)):
-        return None, left
-    return _DEDEKIND[n] - 2, left
+        return None
+    return _DEDEKIND[n] - 2
 
 
 def _below(table, k):
@@ -486,7 +472,7 @@ def algebra_n_complexity(
         raise ValueError(f"clone arity must be >= 0, got {n}")
     k = alg.carrier_size
     _check_cp3_work(k, n)
-    count, lookups = _free_spectrum(alg, n)
+    count = _free_spectrum(alg, n)
     if count is not None:
         _refuse(count, max_size, k, n)
         width = kernels.lane_width(k, (2,))
@@ -498,7 +484,7 @@ def algebra_n_complexity(
         width = kernels.lane_width(k, ())
         tables = _all_tables(k, size, width)
     else:
-        clone = _closure(alg, n, max_size, _subuniverse_bound(alg, n, lookups))
+        clone = _closure(alg, n, max_size, _subuniverse_bound(alg, n))
         count, width, tables = clone.size, clone.width, b"".join(clone.tables)
     _check_work(
         (2**n - 1) * count * k**n,
@@ -576,11 +562,12 @@ def _primal(alg, n, max_size):
     the census takes the closure, which raises the budget's own error.
     """
     k = alg.carrier_size
+    width = kernels.lane_width(k, ())
     if k == 2 and n >= 2:
         arity = 2
     elif k >= 3 and n >= 1 and any(
         set(op.table) == set(range(k))
-        and kernels.essential_mask(op.table, k, op.arity).bit_count() >= 2
+        and kernels.essential_mask(kernels.pack(op.table, width), k, op.arity).bit_count() >= 2
         for op in alg.operations
     ):
         arity = 1

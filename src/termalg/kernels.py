@@ -2,14 +2,14 @@
 for essential variables, and one axis builder for cp3 counting. They
 are pure Python, the only lane; `BACKEND` names it.
 
-A table is a flat sequence of carrier values with the first argument
-most significant: the tuple (a1, ..., an) sits at index
-sum(ai * k**(n - i)).
-
-Tables being built (term tabulation and the clone closure) are lane
-bytes: one little-endian lane of `width` bytes per entry, wide enough
-for every operation-table index the composition forms, so a whole table
-is one integer and composing is one multiply-add and one lookup. The
+A table is lane bytes: one little-endian lane of `width` bytes per
+entry, with the first argument most significant, so the tuple
+(a1, ..., an) sits at lane sum(ai * k**(n - i)). A finished table
+(`algebra.FunctionTable`) has the value width `lane_width(k, ())`.
+Tables being built (term tabulation and the clone closure) have lanes
+wide enough for every operation-table index the composition forms, so a
+whole table is one integer and composing is one multiply-add and one
+lookup. The kernels take lanes of any width that holds the values. The
 essential-variable test and the axis builder compare such an integer
 with its own shifts instead of looping over table entries. The axis
 builder does the same for many tables joined into one integer, the
@@ -23,13 +23,12 @@ variable-index sets.
 """
 
 import struct
-from itertools import chain
 from operator import add
 
 BACKEND = "python"
 
 
-def essential_mask(values, k, arity):
+def essential_mask(lanes, k, arity):
     """Bitmask of the positions the tabulated function depends on.
 
     Position p is essential when some lane whose digit at p is 0 differs
@@ -37,10 +36,7 @@ def essential_mask(values, k, arity):
     integer with its shift by d * stride lanes, under a mask of those
     whole lanes, is nonzero.
     """
-    if not isinstance(values, bytes):
-        values = pack(values, lane_width(k, ()))
-    width = len(values) // k**arity
-    x = int.from_bytes(values, "little")
+    x, width = _lanes(lanes, k, arity)
     mask = 0
     for p in range(arity):
         segment = width * k ** (arity - 1 - p)  # bytes of the lanes of one digit at p
@@ -50,28 +46,24 @@ def essential_mask(values, k, arity):
     return mask
 
 
-def restrict(values, k, arity, positions, constants):
+def restrict(lanes, k, arity, positions, constants):
     """Overwrite the given positions with constants; arity is kept.
 
-    Returns the table of the function obtained by plugging constants[j]
-    into argument positions[j]; those positions become fictitious.
-    `values` is a tuple or lane bytes, and the result is of the same
-    kind. For each position, every block of k segments (one per digit
-    there) becomes the constant's segment repeated k times, joined
-    slice by slice.
+    Returns the lane bytes, of the same width, of the function obtained
+    by plugging constants[j] into argument positions[j]; those positions
+    become fictitious. For each position, every block of k segments (one
+    per digit there) becomes the constant's segment repeated k times,
+    joined slice by slice.
     """
-    lanes = isinstance(values, bytes)
-    out = values if lanes else tuple(values)
-    unit = len(out) // k**arity
+    width = len(lanes) // k**arity
     for p, c in zip(positions, constants):
-        segment = k ** (arity - 1 - p) * unit
+        segment = k ** (arity - 1 - p) * width
         block = segment * k
-        parts = (out[i : i + segment] * k for i in range(c * segment, len(out), block))
-        out = b"".join(parts) if lanes else tuple(chain.from_iterable(parts))
-    return out
+        lanes = b"".join(lanes[i : i + segment] * k for i in range(c * segment, len(lanes), block))
+    return lanes
 
 
-def cp3_count(values, k, arity, mask):
+def cp3_count(lanes, k, arity, mask):
     """Assignments to the positions outside the mask for which the
     restricted function depends on exactly the positions in the mask.
 
@@ -80,15 +72,15 @@ def cp3_count(values, k, arity, mask):
     if mask >> arity:
         raise ValueError(f"mask {mask:#b} has positions beyond arity {arity}")
     free = [p for p in range(arity) if (mask >> p) & 1]
-    return _kept(_moving(*_lanes(values, k, arity), k, arity, free), k).bit_count()
+    return _kept(_moving(*_lanes(lanes, k, arity), k, arity, free), k).bit_count()
 
 
-def cp3_counts(values, k, arity):
+def cp3_counts(lanes, k, arity):
     """cp3_count for every mask, as a list indexed by mask; counts[0] is 0.
 
     The per-position axes are shared by all masks.
     """
-    axes = _moving(*_lanes(values, k, arity), k, arity, range(arity))
+    axes = _moving(*_lanes(lanes, k, arity), k, arity, range(arity))
     counts = [0] * (1 << arity)
     for m in range(1, 1 << arity):
         counts[m] = _kept([axes[p] for p in range(arity) if (m >> p) & 1], k).bit_count()
@@ -125,12 +117,9 @@ def cp3_totals(blob, count, k, arity, width):
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _lanes(values, k, arity):
-    """(integer, lane width) of a table given as a value tuple or as
-    lane bytes."""
-    if not isinstance(values, bytes):
-        values = pack(values, lane_width(k, ()))
-    return int.from_bytes(values, "little"), len(values) // k**arity
+def _lanes(lanes, k, arity):
+    """(integer, lane width) of a table's lane bytes."""
+    return int.from_bytes(lanes, "little"), len(lanes) // k**arity
 
 
 def _axes(x, width, k, arity, positions, count=1):
@@ -224,6 +213,8 @@ def lane_width(k, arities):
 
 def pack(values, width):
     """Lane bytes of a value sequence."""
+    if width not in _LANE_CODES:  # a carrier of more than 2**64 elements
+        return b"".join(v.to_bytes(width, "little") for v in values)
     return struct.pack(f"<{len(values)}{_LANE_CODES[width]}", *values)
 
 

@@ -36,7 +36,7 @@ __all__ = [
 
 def essential_vars(table: FunctionTable) -> frozenset[int]:
     """The set of argument positions (1-based) the table depends on."""
-    mask = kernels.essential_mask(table.values, table.carrier_size, table.arity)
+    mask = kernels.essential_mask(table.lanes, table.carrier_size, table.arity)
     return kernels.indices_of_mask(mask)
 
 
@@ -57,7 +57,7 @@ def ess(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> frozenset[in
 def satisfies_identity(alg: FiniteAlgebra, s: Term, t: Term, n: Optional[int] = None) -> bool:
     """Do both sides induce the same n-ary operation on the algebra?"""
     n = _context(n, s, t)
-    return induced_operation(s, alg, n).values == induced_operation(t, alg, n).values
+    return induced_operation(s, alg, n) == induced_operation(t, alg, n)
 
 
 def ess_via_lemma35(term: Term, alg: FiniteAlgebra, n: int, i: int) -> bool:
@@ -99,7 +99,7 @@ def is_separable(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) 
         if i not in essential:
             raise ValueError(f"x{i} is not essential in the term, so the set is not admissible")
     mask = kernels.mask_of_indices(m)
-    return kernels.cp3_count(table.values, alg.carrier_size, n, mask) >= 1
+    return kernels.cp3_count(table.lanes, alg.carrier_size, n, mask) >= 1
 
 
 def sep_sets(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> list[frozenset[int]]:
@@ -107,7 +107,7 @@ def sep_sets(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> list[fr
     n = _context(n, term)
     _check_cp3_work(alg.carrier_size, n)
     table = induced_operation(term, alg, n)
-    counts = kernels.cp3_counts(table.values, alg.carrier_size, n)
+    counts = kernels.cp3_counts(table.lanes, alg.carrier_size, n)
     found = [kernels.indices_of_mask(m) for m in range(1, 1 << n) if counts[m] >= 1]
     return sorted(found, key=lambda s: tuple(sorted(s)))
 
@@ -140,16 +140,13 @@ def is_subterm(t: Term, s: Term, alg: FiniteAlgebra, n: Optional[int] = None) ->
     else:
         evaluations, formula = (k + 1) ** p - k**p, f"{k + 1}**{p} - {k}**{p}"
     _check_work(
-        evaluations * len(source.values),
+        evaluations * k**n,
         f"the subterm search needs up to {formula} evaluations x {k}**{n}",
     )
-    width = kernels.lane_width(k, ())
-    want = kernels.pack(target.values, width)
-    have = kernels.pack(source.values, width)
     for m in range(top + 1):
         for chosen in combinations(pool, m):
             positions = [i - 1 for i in chosen]
             for consts in product(range(k), repeat=m):
-                if kernels.restrict(have, k, n, positions, consts) == want:
+                if kernels.restrict(source.lanes, k, n, positions, consts) == target.lanes:
                     return True
     return False

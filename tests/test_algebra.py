@@ -147,7 +147,11 @@ class TestInducedOperation:
                 # polynomials: a fifth of the leaves are constants, all at n=0
                 term = random_term(rng, alg, max(n, 1), 3, p_const=0.2 if n else 1.0)
                 got = induced_operation(term, alg, n)
-                assert got.values == oracle.table_of(term, ops, alg.carrier_size, n)
+                expected = oracle.table_of(term, ops, alg.carrier_size, n)
+                assert got.values == expected
+                # sum7 and succ257 tabulate in lanes wider than their values
+                assert got == FunctionTable(n, alg.carrier_size, expected)
+                assert hash(got) == hash(FunctionTable(n, alg.carrier_size, expected))
 
     def test_table_budget(self, bu, mod3, monkeypatch):
         x1 = parse("x1", bu)
@@ -330,6 +334,20 @@ class TestFunctionTableType:
             FunctionTable(2, 2, (0, 1, 0))
         with pytest.raises(AlgebraError):
             FunctionTable(1, 2, (0, 2))
+        # rejected before 3**(10**12) is computed
+        with pytest.raises(AlgebraError, match=r"table length 0, expected 3\^1000000000000$"):
+            FunctionTable(10**12, 3, ())
+
+    def test_carrier_past_eight_byte_lanes(self):
+        # 2**70 elements need 16-byte lanes, which no struct code packs
+        table = FunctionTable(0, 2**70, (5,))
+        assert (table.values, table()) == ((5,), 5)
+        assert table == FunctionTable(0, 2**70, [5]) != FunctionTable(0, 2**70, [6])
+
+    def test_builders_fail_fast(self):
+        for build in (projection_table, constant_table):
+            with pytest.raises(BudgetError, match=r"needs 2\*\*21 entries"):
+                build(1, 21, 2)
 
     @pytest.mark.parametrize("arity", [2, 9])
     def test_entry_validation_names_the_first_bad_entry(self, arity):

@@ -69,6 +69,13 @@ class TestEval:
         assert code == 1
         assert "expects 2" in err
 
+    @pytest.mark.parametrize("depth", [400, 3000])
+    def test_deep_nesting_is_domain_error(self, capsys, bu_path, depth):
+        code, out, err = run(capsys, "cp", bu_path, "neg(" * depth + "x1" + ")" * depth)
+        assert code == 1
+        assert out == ""
+        assert err == "error: term nested too deeply for the recursion limit\n"
+
 
 class TestEss:
     def test_human(self, capsys, bu_path):

@@ -369,7 +369,7 @@ class TestCloneLevel:
         monkeypatch.setattr(kernels, "lookup", counting)
         # without the free-spectrum stop at its 18 members, chain3 runs to
         # the fixpoint; no certificate closure is counted either
-        monkeypatch.setattr(complexity, "_free_spectrum", lambda alg, n: (None, 3**n))
+        monkeypatch.setattr(complexity, "_free_spectrum", lambda alg, n: None)
         _closure_route(monkeypatch)
         clone = clone_level(chain3, 3)
         # a member's round is the depth of its witness; one more round adds
@@ -589,7 +589,7 @@ class TestSubuniverseBound:
         stopped = listing(clone_level(br, 3))
         at_bound = sum(composed)
         composed.clear()
-        monkeypatch.setattr(complexity, "_subuniverse_bound", lambda alg, n, lookups: 2 ** 2**n)
+        monkeypatch.setattr(complexity, "_subuniverse_bound", lambda alg, n: 2 ** 2**n)
         assert listing(clone_level(br, 3)) == stopped == oracle.brute_clone(br, 3)
         assert len(stopped[0]) == 128
         # the fixpoint round composes more than the whole stopped closure
@@ -674,14 +674,12 @@ def _order_lattice(rng, elements, leq, signature):
 
 def _no_free_stop(monkeypatch):
     """Turn off the closure's stops, so that it runs to the fixpoint."""
-    every = lambda alg, n, lookups: alg.carrier_size ** alg.carrier_size**n
-    monkeypatch.setattr(complexity, "_free_spectrum", lambda alg, n: (None, 0))
+    every = lambda alg, n: alg.carrier_size ** alg.carrier_size**n
+    monkeypatch.setattr(complexity, "_free_spectrum", lambda alg, n: None)
     monkeypatch.setattr(complexity, "_subuniverse_bound", every)
 
 
-def _count(alg, n):
-    """The free-spectrum count with no cap on its lookups."""
-    return complexity._free_spectrum(alg, n, lookups=10**9)[0]
+_count = complexity._free_spectrum
 
 
 class TestFreeSpectrum:
@@ -697,15 +695,21 @@ class TestFreeSpectrum:
         assert _count(chain3, len(complexity._DEDEKIND)) is None
         assert [_count(sl, n) for n in (9, 12)] == [511, 4095]
 
-    def test_lookups_are_charged(self, br, sl, chain3):
-        spectrum = complexity._free_spectrum
-        # the checks read each table's 9 entries, within 3**3 lookups but
-        # not 3**2
-        assert spectrum(chain3, 3) == (18, 27 - 18)
-        assert spectrum(chain3, 2) == (None, 9 - 6)
-        assert spectrum(sl, 2) == (3, 0)
-        # + is not idempotent: its diagonal is read, and * is never read
-        assert spectrum(br, 3) == (None, 8 - 2)
+    def test_counted_at_the_smallest_arities(self, chain3, monkeypatch):
+        # recognition reads the operation tables, not k**n entries, so a
+        # lattice is counted at n = 1 and 2 too, and its census closes nothing
+        lattice2 = FiniteAlgebra(
+            "lattice2", 2, (Operation("min", 2, (0, 0, 0, 1)), Operation("max", 2, (0, 1, 1, 1)))
+        )
+        closed = []
+        closure = complexity._closure
+        monkeypatch.setattr(complexity, "_closure", lambda *a: closed.append(a) or closure(*a))
+        for alg in (chain3, lattice2):
+            for n, count in ((1, 1), (2, 4)):
+                assert _count(alg, n) == count
+                census = algebra_n_complexity(alg, n)
+                assert not closed
+                assert oracle.brute_census(alg, n) == (count, census.total, dict(census.histogram))
 
     @pytest.mark.parametrize("signature", ["min", "max", "min/max"])
     def test_random_lattices_match_the_fixpoint(self, signature, monkeypatch):
@@ -821,8 +825,7 @@ class TestFreeCensus:
         catalog_cases = [(catalog.chain3(), 4), (catalog.two_element_semilattice(), 4)]
         # 17 elements: two-byte lanes hold the operation-table indices
         wide = (_lattice_algebra(rng, list(range(17)), min, max, signature), 3)
-        # the smallest arities whose k**n lookups recognise the algebra
-        arities = (3, 4) if "/" in signature else (2, 3, 4)
+        arities = (1, 2, 3, 4)
         random_cases = [
             (_random_distributive_lattice(rng, signature), arities[i % len(arities)])
             for i in range(12)
@@ -834,7 +837,7 @@ class TestFreeCensus:
         for alg, n in catalog_cases * (signature == "min/max") + [wide] + random_cases:
             census = algebra_n_complexity(alg, n)
             assert not closed
-            assert complexity._free_spectrum(alg, n)[0] == census.clone_size
+            assert complexity._free_spectrum(alg, n) == census.clone_size
             tables = complexity._free_tables(alg, n, kernels.lane_width(alg.carrier_size, (2,)))
             assert len(set(tables)) == len(tables) == _count(alg, n) == census.clone_size
             assert set(tables) == set(clone_level(alg, n).tables)

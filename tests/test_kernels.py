@@ -20,10 +20,9 @@ def random_cases(seed, count=10):
 
 
 def table_forms(values, k):
-    """The table as a value tuple and as lane bytes of every width that
-    holds its values; width 4 is where a fold of lanes onto their low
-    byte would leak the next lane's bytes."""
-    yield values
+    """The table as lane bytes of every width that holds its values;
+    width 4 is where a fold of lanes onto their low byte would leak the
+    next lane's bytes."""
     for width in (1, 2, 4, 8):
         if width >= kernels.lane_width(k, ()):
             yield kernels.pack(values, width)
@@ -102,7 +101,6 @@ def test_restrict_against_oracle():
                 constants = [rng.randrange(k) for _ in positions]
                 assigned = {p + 1: c for p, c in zip(positions, constants)}
                 expected = oracle.brute_restrict(values, k, arity, assigned)
-                assert kernels.restrict(values, k, arity, positions, constants) == expected
                 for width in (1, 2):
                     lanes = kernels.pack(values, width)
                     got = kernels.restrict(lanes, k, arity, positions, constants)
@@ -195,6 +193,11 @@ def check_cp3_counts(table, k, arity, per, total):
     assert counts[0] == kernels.cp3_count(table, k, arity, 0) == 0
 
 
+def lanes(values, k):
+    """Lane bytes of a table at the value width."""
+    return kernels.pack(values, kernels.lane_width(k, ()))
+
+
 def joined(tables, width):
     """Tables of lane bytes joined into one integer, the first lowest."""
     return int.from_bytes(b"".join(kernels.pack(t, width) for t in tables), "little")
@@ -220,7 +223,7 @@ def test_cp3_totals_against_oracle():
             tables = [tuple(rng.choice(pool) for _ in range(k**arity)) for _ in range(3)]
             tables += boundary_neighbours(tables[0], k)
             expected = [oracle.brute_cp3_report(t, k, arity)[1] for t in tables]
-            assert expected == [sum(kernels.cp3_counts(t, k, arity)) for t in tables]
+            assert expected == [sum(kernels.cp3_counts(lanes(t, k), k, arity)) for t in tables]
             for width in (1, 2, 4, 8):
                 for blob in (tables[:1], tables):
                     got = kernels.cp3_totals(joined(blob, width), len(blob), k, arity, width)
@@ -237,7 +240,7 @@ def test_cp3_totals_wide_carrier():
     # at arity 2 the reference is the per-table kernel, checked against
     # the definition in test_cp3_counts_wide_carrier
     tables = [wide_table(rng, 2) for _ in range(2)]
-    expected = [sum(kernels.cp3_counts(t, 257, 2)) for t in tables]
+    expected = [sum(kernels.cp3_counts(lanes(t, 257), 257, 2)) for t in tables]
     for width in (2, 4, 8):
         assert kernels.cp3_totals(joined(tables, width), 2, 257, 2, width) == expected
 
@@ -249,7 +252,7 @@ def test_cp3_totals_flush_past_255_masks():
     n = 9
     parity = tuple(bin(i).count("1") % 2 for i in range(2**n))
     tables = [parity, tuple(1 - v for v in parity), (0,) * 2**n, parity]
-    expected = [sum(kernels.cp3_counts(t, 2, n)) for t in tables]
+    expected = [sum(kernels.cp3_counts(lanes(t, 2), 2, n)) for t in tables]
     for width in (1, 2):
         assert kernels.cp3_totals(joined(tables, width), len(tables), 2, n, width) == expected
 
@@ -260,7 +263,7 @@ def test_cp3_totals_of_no_tables():
 
 def test_cp3_count_rejects_positions_beyond_arity():
     with pytest.raises(ValueError, match="beyond arity 2"):
-        kernels.cp3_count((0, 1, 1, 0), 2, 2, 0b100)
+        kernels.cp3_count(bytes((0, 1, 1, 0)), 2, 2, 0b100)
 
 
 def test_mask_round_trip():
