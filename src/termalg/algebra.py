@@ -8,12 +8,12 @@ the first argument is the most significant base-k digit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from . import kernels
+from ._record import record
 from .errors import AlgebraError, BudgetError, TermError
 from .terms import Apply, Constant, Term, Variable
 
@@ -55,7 +55,7 @@ def tuple_index(args: Sequence[int], k: int) -> int:
     return idx
 
 
-@dataclass(frozen=True)
+@record
 class Operation:
     symbol: str
     arity: int
@@ -68,7 +68,7 @@ class Operation:
         return self.table[tuple_index(args, k)]
 
 
-@dataclass(frozen=True)
+@record
 class FiniteAlgebra:
     name: str
     carrier_size: int
@@ -114,7 +114,7 @@ class FiniteAlgebra:
         raise TermError(f"unknown operation symbol {symbol!r}")
 
 
-@dataclass(frozen=True, init=False)
+@record
 class FunctionTable:
     """An n-ary function on the carrier, stored as lane bytes: one
     little-endian lane of `kernels.lane_width(k, ())` bytes per entry, in
@@ -170,7 +170,7 @@ class FunctionTable:
         return self.values[tuple_index(args, self.carrier_size)]
 
 
-@dataclass(frozen=True)
+@record
 class Evaluation:
     """A partial assignment of carrier values to variables x1..xn.
 

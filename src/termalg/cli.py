@@ -48,47 +48,39 @@ def _load_terms(args, *names):
     return alg, parsed, arity
 
 
-def _emit(args, doc: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(human)
+def _emit(args, doc, human) -> None:
+    """Print the JSON document with --json, else the human text. Both are
+    functions, so that only the printed form is built. The commands print
+    their terms beforehand either way, so that a term too deeply nested
+    to print fails in both forms alike."""
+    print(json.dumps(doc(), indent=2) if args.json else human())
 
 
 def _cmd_alg_check(args) -> int:
     alg = load_algebra(args.algebra)
-    ops = ", ".join(f"{op.symbol}/{op.arity}" for op in alg.operations)
     _emit(
         args,
-        {
+        lambda: {
             "name": alg.name,
             "carrier": alg.carrier_size,
             "operations": [
                 {"symbol": op.symbol, "arity": op.arity} for op in alg.operations
             ],
         },
-        f"OK: {alg.name}, carrier {alg.carrier_size}, operations: {ops}",
+        lambda: f"OK: {alg.name}, carrier {alg.carrier_size}, operations: "
+        + ", ".join(f"{op.symbol}/{op.arity}" for op in alg.operations),
     )
     return 0
 
 
 def _cmd_eval(args) -> int:
     alg, (term,), arity = _load_terms(args, "term")
-    table = induced_operation(term, alg, arity)
-    human = (
-        f"term: {terms.print_term(term)}\n"
-        f"arity {arity} over carrier {alg.carrier_size}\n"
-        f"values: {list(table.values)}"
-    )
+    values = list(induced_operation(term, alg, arity).values)
+    text = terms.print_term(term)
     _emit(
         args,
-        {
-            "term": terms.print_term(term),
-            "arity": arity,
-            "carrier": alg.carrier_size,
-            "values": list(table.values),
-        },
-        human,
+        lambda: {"term": text, "arity": arity, "carrier": alg.carrier_size, "values": values},
+        lambda: f"term: {text}\narity {arity} over carrier {alg.carrier_size}\nvalues: {values}",
     )
     return 0
 
@@ -96,10 +88,11 @@ def _cmd_eval(args) -> int:
 def _cmd_ess(args) -> int:
     alg, (term,), arity = _load_terms(args, "term")
     result = semantics.ess(term, alg, arity)
+    text = terms.print_term(term)
     _emit(
         args,
-        {"term": terms.print_term(term), "arity": arity, "essential": sorted(result)},
-        f"Ess = {_format_set(result)}",
+        lambda: {"term": text, "arity": arity, "essential": sorted(result)},
+        lambda: f"Ess = {_format_set(result)}",
     )
     return 0
 
@@ -109,27 +102,28 @@ def _cmd_sep(args) -> int:
     if args.set is not None:
         subset = _parse_index_set(args.set)
         verdict = semantics.is_separable(term, alg, arity, subset)
+        text = terms.print_term(term)
         _emit(
             args,
-            {
-                "term": terms.print_term(term),
+            lambda: {
+                "term": text,
                 "arity": arity,
                 "set": sorted(set(subset)),
                 "separable": verdict,
             },
-            f"{_format_set(subset)} is {'separable' if verdict else 'not separable'}",
+            lambda: f"{_format_set(subset)} is {'separable' if verdict else 'not separable'}",
         )
         return 0
     sets = semantics.sep_sets(term, alg, arity)
-    human_lines = [f"Sep sets ({len(sets)}):"] + [f"  {_format_set(m)}" for m in sets]
+    text = terms.print_term(term)
     _emit(
         args,
-        {
-            "term": terms.print_term(term),
+        lambda: {
+            "term": text,
             "arity": arity,
             "separable_sets": [sorted(m) for m in sets],
         },
-        "\n".join(human_lines),
+        lambda: "\n".join([f"Sep sets ({len(sets)}):"] + [f"  {_format_set(m)}" for m in sets]),
     )
     return 0
 
@@ -137,15 +131,11 @@ def _cmd_sep(args) -> int:
 def _cmd_subterm(args) -> int:
     alg, (t, s), arity = _load_terms(args, "term", "of")
     verdict = semantics.is_subterm(t, s, alg, arity)
+    t_text, s_text = terms.print_term(t), terms.print_term(s)
     _emit(
         args,
-        {
-            "term": terms.print_term(t),
-            "of": terms.print_term(s),
-            "arity": arity,
-            "subterm": verdict,
-        },
-        f"{terms.print_term(t)} {'is' if verdict else 'is not'} a subterm of {terms.print_term(s)}",
+        lambda: {"term": t_text, "of": s_text, "arity": arity, "subterm": verdict},
+        lambda: f"{t_text} {'is' if verdict else 'is not'} a subterm of {s_text}",
     )
     return 0
 
@@ -153,15 +143,11 @@ def _cmd_subterm(args) -> int:
 def _cmd_identity(args) -> int:
     alg, (s, t), arity = _load_terms(args, "lhs", "rhs")
     verdict = semantics.satisfies_identity(alg, s, t, arity)
+    s_text, t_text = terms.print_term(s), terms.print_term(t)
     _emit(
         args,
-        {
-            "lhs": terms.print_term(s),
-            "rhs": terms.print_term(t),
-            "arity": arity,
-            "satisfied": verdict,
-        },
-        f"identity {'holds' if verdict else 'fails'}",
+        lambda: {"lhs": s_text, "rhs": t_text, "arity": arity, "satisfied": verdict},
+        lambda: f"identity {'holds' if verdict else 'fails'}",
     )
     return 0
 
@@ -172,26 +158,36 @@ def _cmd_cp(args) -> int:
     for m in measures:
         if m not in ("1", "2", "3"):
             raise UsageError(f"unknown measure {m!r}; choose from 1,2,3")
-    doc: dict = {"term": terms.print_term(term), "arity": arity}
-    lines = [f"term: {terms.print_term(term)}"]
-    if "1" in measures:
-        doc["cp1"] = complexity.cp1(term)
-        lines.append(f"Cp1 = {doc['cp1']}")
-    if "2" in measures:
-        doc["cp2"] = complexity.cp2(term)
-        lines.append(f"Cp2 = {doc['cp2']}")
-    if "3" in measures:
-        report = complexity.cp3_total(term, alg, arity)
-        doc["cp3"] = {
-            "total": report.total,
-            "per_set": [
-                {"vars": sorted(m), "count": c} for m, c in report.sorted_items()
-            ],
-        }
-        for m, c in report.sorted_items():
-            lines.append(f"Cp3[{_format_set(m)}] = {c}")
-        lines.append(f"Cp3 total = {report.total}")
-    _emit(args, doc, "\n".join(lines))
+    text = terms.print_term(term)
+    cp1 = complexity.cp1(term) if "1" in measures else None
+    cp2 = complexity.cp2(term) if "2" in measures else None
+    report = complexity.cp3_total(term, alg, arity) if "3" in measures else None
+
+    def doc():
+        out: dict = {"term": text, "arity": arity}
+        if cp1 is not None:
+            out["cp1"] = cp1
+        if cp2 is not None:
+            out["cp2"] = cp2
+        if report is not None:
+            out["cp3"] = {
+                "total": report.total,
+                "per_set": [{"vars": sorted(m), "count": c} for m, c in report.sorted_items()],
+            }
+        return out
+
+    def human():
+        lines = [f"term: {text}"]
+        if cp1 is not None:
+            lines.append(f"Cp1 = {cp1}")
+        if cp2 is not None:
+            lines.append(f"Cp2 = {cp2}")
+        if report is not None:
+            lines += [f"Cp3[{_format_set(m)}] = {c}" for m, c in report.sorted_items()]
+            lines.append(f"Cp3 total = {report.total}")
+        return "\n".join(lines)
+
+    _emit(args, doc, human)
     return 0
 
 
@@ -347,10 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line; exit status 0, 1 (domain error) or 2 (usage
+    error). The parser is built on the first call and kept."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

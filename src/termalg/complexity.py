@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, compress
 from math import comb
 from typing import Iterable, Mapping, Optional
 
 from . import algebra, kernels
+from ._record import record
 from .algebra import (
     FiniteAlgebra,
     FunctionTable,
@@ -64,7 +64,7 @@ def cp2(term: Term) -> int:
     return 1 + sum(cp2(c) for c in term.children)
 
 
-@dataclass(frozen=True)
+@record
 class ComplexityReport:
     """cp3 counts of one function: per nonempty variable set, plus total."""
 
@@ -116,7 +116,7 @@ def value_set(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> frozen
 # clone enumeration
 
 
-@dataclass(frozen=True)
+@record
 class CloneLevel:
     """The n-ary term operations of an algebra, with generating terms.
 
@@ -203,10 +203,13 @@ def _closure(alg, n, max_size, bound):
     tables: list[bytes] = []
     witnesses: list[Term] = []
     seen: set[bytes] = set()
+    # the most members that pass _admit; it raises for the next one
+    cap = min(max_size, algebra.WORK_BUDGET // size)
 
     def add(values: bytes, witness: Term) -> bool:
         """Record a new member; True once the clone reaches the bound."""
-        _admit(len(tables) + 1, max_size, k, n)
+        if len(tables) >= cap:
+            _admit(len(tables) + 1, max_size, k, n)
         seen.add(values)
         tables.append(values)
         witnesses.append(witness)
@@ -426,7 +429,7 @@ def _prefixes(tables, depth, k, known):
             yield head + (a,), head_lanes * k + int.from_bytes(tables[a], "little")
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraCensus:
     """n-complexity of an algebra with its distribution histogram."""
 

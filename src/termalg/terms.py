@@ -14,9 +14,9 @@ polynomial. `parse` and `print_term` round-trip: parse(print_term(t)) == t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
+from ._record import record
 from .errors import ParseError, TermError
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Variable:
     index: int
 
@@ -44,7 +44,7 @@ class Variable:
             raise TermError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True)
+@record
 class Constant:
     value: int
 
@@ -53,7 +53,7 @@ class Constant:
             raise TermError(f"constant value must be >= 0, got {self.value}")
 
 
-@dataclass(frozen=True)
+@record
 class Apply:
     symbol: str
     children: tuple

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from termalg import algebra, catalog, clone_level, dump_algebra, print_term
+from termalg import algebra, catalog, cli, clone_level, dump_algebra, print_term
 from termalg.cli import _witness_texts, main
 
 T1 = "+(*(x1,x2),x3)"
@@ -396,6 +396,42 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+class TestParserReuse:
+    def test_built_once(self, capsys, monkeypatch, bu_path):
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in (["ess", bu_path, T1], ["frobnicate"], ["cp", bu_path, T2, "--json"]):
+            run(capsys, *argv)
+        assert len(calls) == 1
+
+    def test_same_as_a_fresh_parser(self, capsys, monkeypatch, bu_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = [
+            ["eval", bu_path, T1, "--arity", "x"],
+            ["--help"],
+            ["sep", "--help"],
+            ["sep", bu_path, T2, "--set", "x1,x3"],
+        ]
+        monkeypatch.setattr(cli, "_parser", None)
+        reused = [run(capsys, *argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+        assert "invalid int value: 'x'" in reused[0][2]
+        assert reused[1][1].startswith("usage: termalg")
+        assert reused[3][1] == "{x1,x3} is separable\n"
 
 
 class TestMixedCarrier:

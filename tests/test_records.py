@@ -1,0 +1,196 @@
+"""The value classes are frozen records: field equality within a class,
+hashing as the field tuple, a Class(field=value, ...) repr and no
+assignment. Importing the package loads neither dataclasses nor inspect."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import termalg
+from termalg import (
+    AlgebraCensus,
+    Apply,
+    CloneLevel,
+    ComplexityReport,
+    Constant,
+    Evaluation,
+    FiniteAlgebra,
+    FunctionTable,
+    Operation,
+    Variable,
+    catalog,
+    clone_level,
+    projection_table,
+)
+
+NEG = Operation("neg", 1, (1, 0))
+
+# (class, positional arguments, the same as keywords, field values, repr)
+CASES = [
+    (Variable, (1,), {"index": 1}, (1,), "Variable(index=1)"),
+    (Constant, (0,), {"value": 0}, (0,), "Constant(value=0)"),
+    (
+        Apply,
+        ("+", [Variable(1), Constant(1)]),
+        {"symbol": "+", "children": (Variable(1), Constant(1))},
+        ("+", (Variable(1), Constant(1))),
+        "Apply(symbol='+', children=(Variable(index=1), Constant(value=1)))",
+    ),
+    (
+        Operation,
+        ("neg", 1, [1, 0]),
+        {"symbol": "neg", "arity": 1, "table": (1, 0)},
+        ("neg", 1, (1, 0)),
+        "Operation(symbol='neg', arity=1, table=(1, 0))",
+    ),
+    (
+        FiniteAlgebra,
+        ("n2", 2, [("neg", 1, (1, 0))]),
+        {"name": "n2", "carrier_size": 2, "operations": (NEG,)},
+        ("n2", 2, (NEG,)),
+        "FiniteAlgebra(name='n2', carrier_size=2, "
+        "operations=(Operation(symbol='neg', arity=1, table=(1, 0)),))",
+    ),
+    (
+        FunctionTable,
+        (1, 2, [1, 0]),
+        {"arity": 1, "carrier_size": 2, "values": (1, 0)},
+        (1, 2, b"\x01\x00"),
+        "FunctionTable(arity=1, carrier_size=2, lanes=b'\\x01\\x00')",
+    ),
+    (
+        Evaluation,
+        ({2: 1, 1: 0}, 2),
+        {"assigned": {1: 0, 2: 1}, "context_arity": 2},
+        ({1: 0, 2: 1}, 2),
+        "Evaluation(assigned={1: 0, 2: 1}, context_arity=2)",
+    ),
+    (
+        ComplexityReport,
+        (1, {frozenset({1}): 2}, 2),
+        {"arity": 1, "per_set": {frozenset({1}): 2}, "total": 2},
+        (1, {frozenset({1}): 2}, 2),
+        "ComplexityReport(arity=1, per_set={frozenset({1}): 2}, total=2)",
+    ),
+    (
+        CloneLevel,
+        (1, 2, (b"\x00\x01",), 1, (Variable(1),)),
+        {"arity": 1, "carrier_size": 2, "tables": (b"\x00\x01",), "width": 1, "witnesses": (Variable(1),)},
+        (1, 2, (b"\x00\x01",), 1, (Variable(1),)),
+        "CloneLevel(arity=1, carrier_size=2, tables=(b'\\x00\\x01',), width=1, "
+        "witnesses=(Variable(index=1),))",
+    ),
+    (
+        AlgebraCensus,
+        ("n2", 1, 4, 6, {2: 2, 1: 2}),
+        {"algebra": "n2", "n": 1, "clone_size": 4, "total": 6, "histogram": {2: 2, 1: 2}},
+        ("n2", 1, 4, 6, {2: 2, 1: 2}),
+        "AlgebraCensus(algebra='n2', n=1, clone_size=4, total=6, histogram={2: 2, 1: 2})",
+    ),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+def fields_of(record):
+    return tuple(getattr(record, name) for name in type(record).__annotations__)
+
+
+@pytest.mark.parametrize("cls, args, kwargs, fields, text", CASES, ids=IDS)
+class TestRecord:
+    def test_repr(self, cls, args, kwargs, fields, text):
+        assert repr(cls(*args)) == text
+
+    def test_fields(self, cls, args, kwargs, fields, text):
+        assert fields_of(cls(*args)) == fields
+
+    def test_keywords(self, cls, args, kwargs, fields, text):
+        assert cls(**kwargs) == cls(*args)
+        assert fields_of(cls(**kwargs)) == fields
+
+    def test_equality(self, cls, args, kwargs, fields, text):
+        a, b = cls(*args), cls(*args)
+        assert a is not b and a == b and not a != b
+        assert a != fields and a != object()
+        assert a.__eq__(fields) is NotImplemented
+
+    def test_hash_is_field_tuple_hash(self, cls, args, kwargs, fields, text):
+        record = cls(*args)
+        try:
+            expected = hash(fields)
+        except TypeError:
+            # a field is a dict, as with frozen dataclasses
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == expected
+
+    def test_frozen(self, cls, args, kwargs, fields, text):
+        record = cls(*args)
+        for name in cls.__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert fields_of(record) == fields
+
+
+def test_unequal_across_classes():
+    assert Variable(1) != Constant(1)
+    assert Constant(1) != Variable(1)
+    assert Variable(1).__eq__(Constant(1)) is NotImplemented
+    assert len({Variable(1), Constant(1)}) == 2
+
+
+def test_bad_arguments():
+    with pytest.raises(TypeError):
+        Variable()
+    with pytest.raises(TypeError):
+        Variable(1, 2)
+    with pytest.raises(TypeError):
+        Variable(1, index=1)
+    with pytest.raises(TypeError):
+        Variable(position=1)
+
+
+def test_post_init_runs_with_keywords():
+    with pytest.raises(termalg.TermError):
+        Variable(index=0)
+
+
+def test_cached_table_values():
+    built = FunctionTable._from_lanes(1, 2, b"\x01\x00")
+    assert "values" not in vars(built)
+    assert built.values == (1, 0)
+    assert built.values is built.values
+    assert built == FunctionTable(1, 2, (1, 0))
+    assert hash(built) == hash(FunctionTable(1, 2, (1, 0)))
+    assert repr(built) == "FunctionTable(arity=1, carrier_size=2, lanes=b'\\x01\\x00')"
+
+
+def test_cached_clone_members():
+    level = clone_level(catalog.bool2(), 2)
+    members = level.members
+    assert members is level.members
+    assert members[:2] == (projection_table(1, 2, 2), projection_table(2, 2, 2))
+    assert len(members) == level.size == 16
+    with pytest.raises(AttributeError):
+        level.members = ()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: the test process has loaded both already
+    script = (
+        "import sys; before = set(sys.modules); import termalg, termalg.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(termalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
