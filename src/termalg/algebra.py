@@ -233,6 +233,8 @@ def validate_algebra(raw: Mapping) -> FiniteAlgebra:
         raise AlgebraError("field 'name' must be a string")
     if not isinstance(carrier, int) or isinstance(carrier, bool):
         raise AlgebraError("field 'carrier' must be an integer")
+    if not isinstance(ops_raw, (list, tuple)):
+        raise AlgebraError("field 'operations' must be a list")
     ops = []
     for pos, entry in enumerate(ops_raw):
         try:
@@ -245,6 +247,8 @@ def validate_algebra(raw: Mapping) -> FiniteAlgebra:
             raise AlgebraError(f"operation entry {pos}: symbol must be a nonempty string")
         if not isinstance(arity, int) or isinstance(arity, bool):
             raise AlgebraError(f"operation {symbol!r} (index {pos}): arity must be an integer")
+        if not isinstance(table, (list, tuple)):
+            raise AlgebraError(f"operation {symbol!r} (index {pos}): field 'table' must be a list")
         ops.append(Operation(symbol, arity, tuple(table)))
     return FiniteAlgebra(name, carrier, tuple(ops))
 
@@ -269,7 +273,40 @@ def dumps_algebra(alg: FiniteAlgebra) -> str:
             for op in alg.operations
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
+
+
+# the C string quoting of json's own encoder
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2), byte for byte. With an indent, json
+    encodes through its pure-Python encoder; here strings are quoted in
+    C, exact ints and lists of them are written by str and one join, and
+    any other scalar goes to json.dumps. Dict keys are str. `indent` is
+    the line break and indent before the closing bracket of `doc`."""
+    if isinstance(doc, str):
+        return _quote(doc)
+    if type(doc) is int:
+        return str(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        left, right = "{", "}"
+        items = (_quote(key) + ": " + _dumps(value, inner) for key, value in doc.items())
+    elif isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        left, right = "[", "]"
+        if {*map(type, doc)} == {int}:
+            items = map(str, doc)
+        else:
+            items = (_dumps(x, inner) for x in doc)
+    else:
+        return json.dumps(doc)
+    return left + inner + ("," + inner).join(items) + indent + right
 
 
 def dump_algebra(alg: FiniteAlgebra, path) -> None:

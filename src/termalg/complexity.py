@@ -449,7 +449,7 @@ class AlgebraCensus:
                 str(c): self.histogram[c] for c in sorted(self.histogram, reverse=True)
             },
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return algebra._dumps(doc) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AlgebraCensus":

@@ -188,9 +188,12 @@ def compose(op_values, op_arity, args, k, size):
 
     The argument lanes are combined by one multiply-add into the
     operation-table index of every entry, which the lane width holds
-    without carries, and one lookup maps the indices to values.
+    without carries, and one lookup maps the indices to values. A unary
+    operation's index is its argument's own lane.
     """
     width = len(args[0]) // size
+    if op_arity == 1:
+        return lookup(op_values, width)(args[0])
     combined = 0
     for a in args:
         combined = combined * k + int.from_bytes(a, "little")

@@ -98,7 +98,7 @@ class _Parser:
 
     def digits(self) -> str:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         return self.text[start : self.pos]
 
@@ -118,7 +118,7 @@ class _Parser:
             while self.pos < len(self.text) and _is_ident_char(self.text[self.pos]):
                 self.pos += 1
             name = self.text[start : self.pos]
-            if name[0] == "x" and name[1:].isdigit():
+            if name[0] == "x" and name[1:].isdecimal():
                 index = int(name[1:])
                 if index < 1:
                     raise ParseError(f"variable index must be >= 1 in {name!r}", start)

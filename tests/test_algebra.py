@@ -1,5 +1,6 @@
 """Algebra validation, induced operations, and algebra constructions."""
 
+import json
 import random
 import re
 
@@ -86,6 +87,20 @@ class TestValidation:
         with pytest.raises(AlgebraError, match="arity"):
             FiniteAlgebra("bad", 2, (Operation("c", 0, (0,)),))
 
+    def test_operations_not_a_list_named(self):
+        with pytest.raises(AlgebraError, match="field 'operations' must be a list"):
+            validate_algebra({"name": "a", "carrier": 2, "operations": 5})
+
+    def test_table_not_a_list_named(self):
+        with pytest.raises(AlgebraError, match=r"'f' \(index 0\): field 'table' must be a list"):
+            validate_algebra(
+                {
+                    "name": "a",
+                    "carrier": 2,
+                    "operations": [{"symbol": "f", "arity": 1, "table": 5}],
+                }
+            )
+
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path, bu, chain3):
@@ -107,6 +122,69 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(AlgebraError, match="invalid JSON"):
             load_algebra(path)
+
+    def test_text_is_json_indented_document(self):
+        algebras = [getattr(catalog, name)() for name in catalog.__all__]
+        for alg in algebras + list(wide_lane_algebras()):
+            doc = {
+                "name": alg.name,
+                "carrier": alg.carrier_size,
+                "operations": [
+                    {"symbol": op.symbol, "arity": op.arity, "table": list(op.table)}
+                    for op in alg.operations
+                ],
+            }
+            assert dumps_algebra(alg) == json.dumps(doc, indent=2) + "\n"
+
+
+_TEXT = st.text(st.sampled_from('ab"\\/\ud800\x00\x1f\n\t\x7f\xe9\u2028\U0001f600'))
+_SCALARS = (
+    _TEXT
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False)
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda sub: st.lists(sub, max_size=4)
+    | st.lists(sub, max_size=4).map(tuple)
+    | st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=4)
+    | st.dictionaries(_TEXT, sub, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    """algebra._dumps writes every indented JSON document of the package."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCS)
+    def test_equals_json_dumps_indent_2(self, doc):
+        assert algebra._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {},
+            (),
+            [[], {}, ()],
+            {"a": (1, (2,)), "b": [True, False, None, 1.5, float("inf")]},
+            [1, True, 0, False],
+            "\u00e9\x00\"\\",
+        ],
+    )
+    def test_edge_cases(self, doc):
+        assert algebra._dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_unserializable_raises_as_json_does(self):
+        doc = {"a": [1, {2}]}
+        with pytest.raises(TypeError) as ours:
+            algebra._dumps(doc)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(doc, indent=2)
+        assert str(ours.value) == str(theirs.value)
 
 
 class TestInducedOperation:

@@ -15,6 +15,9 @@ T2 = "+(*(x1,x3),*(x2,neg(x3)))"
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if "--json" in argv and code == 0:
+        # every JSON answer is the document json.dumps(..., indent=2) writes
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
     return code, captured.out, captured.err
 
 
@@ -34,6 +37,26 @@ class TestAlgCheck:
         code, _, err = run(capsys, "alg-check", str(bad))
         assert code == 1
         assert "length 3" in err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"name": "a", "carrier": 2, "operations": 5}', "'operations'"),
+            (
+                '{"name": "a", "carrier": 2, "operations":'
+                ' [{"symbol": "f", "arity": 1, "table": 5}]}',
+                "'table'",
+            ),
+        ],
+    )
+    def test_malformed_file_is_one_error_line(self, capsys, tmp_path, text, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for argv in (["alg-check", str(bad)], ["alg-check", str(bad), "--json"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"field {field} must be a list" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "alg-check", str(tmp_path / "nope.json"))
@@ -285,6 +308,48 @@ class TestCensusAndClone:
         _, first, _ = run(capsys, "census", bu_path, "--arity", "2", "--json")
         _, second, _ = run(capsys, "census", bu_path, "--arity", "2", "--json")
         assert first == second
+
+
+ODD = "\u00e9(x1,\u00ac(x2))"  # over an algebra whose symbols json escapes
+
+
+class TestJsonOutput:
+    """Every --json command writes json.dumps(doc, indent=2): run()
+    checks it. The algebra's name and symbols here must be escaped."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alg-check"],
+            ["eval", ODD],
+            ["eval", ODD, "--arity", "4"],
+            ["ess", ODD],
+            ["sep", ODD],
+            ["sep", ODD, "--set", "1,2"],
+            ["subterm", "\u00ac(x2)", ODD],
+            ["identity", ODD, "\u00e9(\u00ac(x2),x1)"],
+            ["cp", ODD],
+            ["cp", ODD, "--measures", "3"],
+            ["census", "--arity", "2"],
+            ["clone", "--arity", "2"],
+            ["clone", "--arity", "2", "--list"],
+        ],
+    )
+    def test_indented_document(self, capsys, tmp_path, argv):
+        plus, _, neg = catalog.bool2().operations
+        odd = algebra.FiniteAlgebra(
+            'odd "\\ name\n\u00e9',
+            2,
+            (
+                algebra.Operation("\u00e9", 2, plus.table),
+                algebra.Operation("\u00ac", 1, neg.table),
+            ),
+        )
+        path = tmp_path / "odd.json"
+        dump_algebra(odd, path)
+        code, out, _ = run(capsys, argv[0], str(path), *argv[1:], "--json")
+        assert code == 0
+        assert out.isascii() and "\\u00e9" in out
 
 
 class TestTableBudget:

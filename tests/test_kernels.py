@@ -124,6 +124,22 @@ def test_compose_against_pointwise():
             assert kernels.unpack(got, width) == expected
 
 
+def test_compose_unary_maps_each_lane():
+    # every unary operation on 2 and 3 elements, and a 300-element one,
+    # whose lanes are at least 2 bytes wide
+    ops = [op for k in (2, 3) for op in product(range(k), repeat=k)]
+    ops.append(tuple((5 * a + 7) % 300 for a in range(300)))
+    rng = random.Random(506)
+    for op in ops:
+        k = len(op)
+        arg = tuple(rng.randrange(k) for _ in range(2 * k))
+        for width in (1, 2, 4, 8):
+            if k > 256**width:
+                continue
+            got = kernels.compose(op, 1, [kernels.pack(arg, width)], k, len(arg))
+            assert kernels.unpack(got, width) == tuple(op[a] for a in arg)
+
+
 def test_lane_width():
     assert kernels.lane_width(2, ()) == 1
     assert kernels.lane_width(256, (1,)) == 1

@@ -1,6 +1,7 @@
 """The value classes are frozen records: field equality within a class,
 hashing as the field tuple, a Class(field=value, ...) repr and no
-assignment. Importing the package loads neither dataclasses nor inspect."""
+assignment. Importing the package loads neither dataclasses nor inspect,
+nor the CLI and argparse."""
 
 import os
 import subprocess
@@ -182,15 +183,25 @@ def test_cached_clone_members():
         level.members = ()
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter: the test process has loaded both already
+def _loaded_by(imports, modules):
+    """Which of the modules a fresh interpreter loads for the imports:
+    the test process has loaded all of them already."""
     script = (
-        "import sys; before = set(sys.modules); import termalg, termalg.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"import sys; before = set(sys.modules); import {imports}; "
+        f"print(sorted({modules!r} & (set(sys.modules) - before)))"
     )
     src = str(Path(termalg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_by("termalg, termalg.cli", {"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_import_termalg_loads_neither_the_cli_nor_argparse():
+    modules = {"dataclasses", "inspect", "argparse", "termalg.cli"}
+    assert _loaded_by("termalg", modules) == "[]\n"

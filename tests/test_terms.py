@@ -69,6 +69,14 @@ class TestParse:
         with pytest.raises(ParseError, match="digits after '#'"):
             parse("#", SIG)
 
+    def test_non_decimal_digit_after_hash(self):
+        with pytest.raises(ParseError, match="digits after '#'.*position 0"):
+            parse("#\u00b2", SIG)
+
+    def test_non_decimal_digit_variable_is_a_symbol(self):
+        with pytest.raises(ParseError, match="unknown operation symbol 'x\u00b2'"):
+            parse("x\u00b2", SIG)
+
     def test_zero_variable_index(self):
         with pytest.raises(ParseError, match="x0"):
             parse("x0", SIG)
