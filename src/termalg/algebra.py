@@ -91,11 +91,16 @@ class FiniteAlgebra:
             if op.symbol in seen:
                 raise AlgebraError(f"duplicate operation symbol {op.symbol!r} (index {pos})")
             seen.add(op.symbol)
-            expected = k**op.arity
-            if len(op.table) != expected:
+            size = len(op.table)
+            # for k >= 2, k**arity > size from this arity on, so the power,
+            # which may be too large to compute, is not needed to compare;
+            # the message writes it out only up to 4096 bits (1234 digits)
+            if k > 1 and op.arity >= size.bit_length() or size != k**op.arity:
+                short = op.arity * k.bit_length() <= 4096
+                expected = k**op.arity if short else f"{k}^{op.arity}"
                 raise AlgebraError(
                     f"operation {op.symbol!r} (index {pos}): table length "
-                    f"{len(op.table)}, expected k^{op.arity} = {expected}"
+                    f"{size}, expected k^{op.arity} = {expected}"
                 )
             for j, v in enumerate(op.table):
                 if not isinstance(v, int) or not 0 <= v < k:

@@ -29,7 +29,7 @@ def _parse_index_set(text: str) -> list[int]:
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip().lstrip("x")
-        if not chunk.isdigit():
+        if not chunk.isdecimal():  # what int() reads; isdigit also takes '²'
             raise UsageError(f"bad variable list {text!r}; expected e.g. 1,3 or x1,x3")
         out.append(int(chunk))
     if not out:
@@ -162,43 +162,51 @@ def _cmd_cp(args) -> int:
     cp2 = complexity.cp2(term) if "2" in measures else None
     report = complexity.cp3_total(term, alg, arity) if "3" in measures else None
 
-    def doc():
-        out: dict = {"term": text, "arity": arity}
+    if args.json:
+        doc: dict = {"term": text, "arity": arity}
         if cp1 is not None:
-            out["cp1"] = cp1
+            doc["cp1"] = cp1
         if cp2 is not None:
-            out["cp2"] = cp2
-        if report is not None:
-            out["cp3"] = {
-                "total": report.total,
-                "per_set": [{"vars": sorted(m), "count": c} for m, c in report.sorted_items()],
-            }
-        return out
-
-    def human():
-        lines = [f"term: {text}"]
-        if cp1 is not None:
-            lines.append(f"Cp1 = {cp1}")
-        if cp2 is not None:
-            lines.append(f"Cp2 = {cp2}")
-        if report is not None:
-            lines += [f"Cp3[{_format_set(m)}] = {c}" for m, c in report.sorted_items()]
-            lines.append(f"Cp3 total = {report.total}")
-        return "\n".join(lines)
-
-    _emit(args, doc, human)
+            doc["cp2"] = cp2
+        if report is None:
+            print(_dumps(doc))
+            return 0
+        doc["cp3"] = {"total": report.total}
+        # the layout of json.dumps(doc, indent=2) with the sets listed
+        # under "per_set" after "total", laid out by hand: faster than _dumps
+        per_set = ",\n".join(
+            '      {\n        "vars": [\n          '
+            + ",\n          ".join(map(str, sorted(m)))
+            + f'\n        ],\n        "count": {c}\n      }}'
+            for m, c in report.sorted_items()
+        )
+        listed = f"[\n{per_set}\n    ]" if per_set else "[]"
+        print(f'{_dumps(doc)[:-6]},\n    "per_set": {listed}\n  }}\n}}')
+        return 0
+    lines = [f"term: {text}"]
+    if cp1 is not None:
+        lines.append(f"Cp1 = {cp1}")
+    if cp2 is not None:
+        lines.append(f"Cp2 = {cp2}")
+    if report is not None:
+        lines += [f"Cp3[{_format_set(m)}] = {c}" for m, c in report.sorted_items()]
+        lines.append(f"Cp3 total = {report.total}")
+    print("\n".join(lines))
     return 0
 
 
-def _clone_arity(args) -> int:
+def _clone_args(args) -> tuple[int, int]:
+    """The arity and member budget of `census` and `clone`."""
     if args.arity < 0:
         raise UsageError(f"--arity {args.arity} is negative")
-    return args.arity
+    if args.max_clone_size < 0:
+        raise UsageError(f"--max-clone-size {args.max_clone_size} is negative")
+    return args.arity, args.max_clone_size
 
 
 def _cmd_census(args) -> int:
     alg = load_algebra(args.algebra)
-    census = complexity.algebra_n_complexity(alg, _clone_arity(args), args.max_clone_size)
+    census = complexity.algebra_n_complexity(alg, *_clone_args(args))
     if args.json:
         sys.stdout.write(census.to_json())
         return 0
@@ -229,7 +237,7 @@ def _witness_texts(witnesses):
 
 def _cmd_clone(args) -> int:
     alg = load_algebra(args.algebra)
-    clone = complexity.clone_level(alg, _clone_arity(args), args.max_clone_size)
+    clone = complexity.clone_level(alg, *_clone_args(args))
     # the closure built these tables, so they need no FunctionTable check
     values = (list(kernels.unpack(t, clone.width)) for t in clone.tables)
     texts = _witness_texts(clone.witnesses) if args.list else ()

@@ -74,13 +74,15 @@ class ComplexityReport:
 
     @classmethod
     def from_counts(cls, counts, arity: int) -> "ComplexityReport":
-        per = {
-            kernels.indices_of_mask(m): counts[m] for m in range(1, 1 << arity)
-        }
+        sets = dict(kernels.index_sets(arity))
+        per = {sets[m]: counts[m] for m in range(1, 1 << arity)}
         return cls(arity, per, sum(counts))
 
     def sorted_items(self):
-        return sorted(self.per_set.items(), key=lambda kv: tuple(sorted(kv[0])))
+        """(set, count) pairs of every nonempty set of x1..x_arity,
+        ordered lexicographically by sorted indices (`kernels.preorder`)."""
+        per = self.per_set
+        return [(s, per[s]) for _, s in kernels.index_sets(self.arity)]
 
 
 def cp3_set(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) -> int:

@@ -14,8 +14,16 @@ essential-variable test and the axis builder compare such an integer
 with its own shifts instead of looping over table entries. The axis
 builder does the same for many tables joined into one integer, the
 table index acting as one more digit above the others, so `cp3_totals`
-counts a whole clone in one pass per mask along the path that
-`cp3_count` and `cp3_counts` take for one table.
+counts a whole clone along the path that `cp3_counts` takes for one
+table.
+
+`cp3_count` counts one mask (`_kept`). `cp3_counts` and `cp3_totals`
+count every mask in one depth-first walk (`_walk`), shared as in the
+fast zeta transform over the subset lattice: a mask's smeared bitsets
+come from its parent's by one smear each, so n positions take
+n * 2**(n-1) - n smears in all instead of n * (n-1) * 2**(n-2). The walk
+visits the masks in `preorder`, the order of their sorted index tuples,
+in which `cp` and `sep` print them.
 
 Positions are 0-based here; masks carry position p in bit p. The helpers
 at the bottom translate between masks and the public 1-based
@@ -78,12 +86,12 @@ def cp3_count(lanes, k, arity, mask):
 def cp3_counts(lanes, k, arity):
     """cp3_count for every mask, as a list indexed by mask; counts[0] is 0.
 
-    The per-position axes are shared by all masks.
+    One walk over the masks (`_walk`) counts them all, sharing each
+    smear between a mask and the masks below it in the walk.
     """
-    axes = _moving(*_lanes(lanes, k, arity), k, arity, range(arity))
     counts = [0] * (1 << arity)
-    for m in range(1, 1 << arity):
-        counts[m] = _kept([axes[p] for p in range(arity) if (m >> p) & 1], k).bit_count()
+    for m, kept in _walk(_moving(*_lanes(lanes, k, arity), k, arity, range(arity)), k):
+        counts[m] = kept.bit_count()
     return counts
 
 
@@ -92,26 +100,58 @@ def cp3_totals(blob, count, k, arity, width):
     lane bytes of `width` bytes per entry with the first table lowest.
 
     The table index acts as one more fixed digit above the others, so
-    one pass per mask counts every table. Each mask's kept bits are
-    added into an accumulator of one byte per index; since a byte holds
-    at most 255, it is flushed into the totals every 255 masks, each
-    table summing its k**arity bytes.
+    the walk over the masks that `cp3_counts` takes for one table counts
+    every table at once. Each mask's kept bits are added into an
+    accumulator of one byte per index; since a byte holds at most 255,
+    it is flushed into the totals every 255 masks, each table summing
+    its k**arity bytes.
     """
     size = k**arity
     totals = [0] * count
     if not count:
         return totals
     axes = _moving(blob, width, k, arity, range(arity), count)
+    last = (1 << arity) - 1
     acc = 0
-    for m in range(1, 1 << arity):
-        kept = _kept([axes[p] for p in range(arity) if (m >> p) & 1], k)
+    for visited, (_, kept) in enumerate(_walk(axes, k), 1):
         acc += int.from_bytes(format(kept, "b")[::-1].encode().translate(_BIT_BYTES), "little")
-        if m % 255 == 0 or m == (1 << arity) - 1:
+        if visited % 255 == 0 or visited == last:
             data = acc.to_bytes(count * size, "little")
             sums = map(sum, (data[i : i + size] for i in range(0, len(data), size)))
             totals = list(map(add, totals, sums))
             acc = 0
     return totals
+
+
+def preorder(arity):
+    """Yield the nonempty masks below 2**arity depth first, each mask
+    followed by the masks that add positions above its highest one, in
+    increasing order. This is the order of their sorted index tuples:
+    {1}, {1, 2}, {1, 2, 3}, ..., {1, 3}, ..., {2}, ...
+    """
+    mask = 1 if arity else 0
+    while mask:
+        yield mask
+        top = mask.bit_length()
+        if top < arity:
+            mask |= 1 << top  # descend: add the next position
+        else:
+            # the last position is in: drop it, then move the new highest
+            # position up by one, if any is left
+            mask ^= 1 << top - 1
+            if mask:
+                mask += 1 << mask.bit_length() - 1
+
+
+def index_sets(arity):
+    """Yield (mask, indices_of_mask(mask)) for every nonempty mask below
+    2**arity, in `preorder`. Each set is the one before it at one depth
+    less plus the mask's highest index, so that it takes one union."""
+    path = [frozenset()] * (arity + 1)  # the set at each depth
+    for m in preorder(arity):
+        depth = m.bit_count()
+        path[depth] = indices = path[depth - 1].union((m.bit_length(),))
+        yield m, indices
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -180,6 +220,44 @@ def _kept(axes, k):
                     bits |= bits >> stride
         kept &= bits
     return kept
+
+
+def _walk(axes, k):
+    """Yield (mask, kept) for every nonempty mask over the positions of
+    these axes, in `preorder`; `kept` is what `_kept` gives the mask.
+
+    Smearing a bitset by a position ORs in its shifts down by d * stride,
+    0 < d < k, as `_kept` does, and smears by different positions
+    commute. At a mask m with highest position c the walk holds one list:
+    for each position r > c, r's `moving` smeared over all of m, in
+    increasing r, then for each position p of m, p's `moving` smeared
+    over the other positions of m. Its child m + {q}, q > c, smears the
+    entries past q's own by q's stride alone and appends q's entry as it
+    is: that is the child's list, and the AND of its last |m| + 1
+    entries, the child's chosen positions, is the child's kept bits. The
+    walk keeps one list per depth, O(n**2) bitsets for n positions.
+
+    A mask costs a smear per entry past q's, so all masks together cost
+    n * 2**(n-1) - n smears of k - 1 shift-ORs each, where `_kept` for
+    each mask would make n * (n-1) * 2**(n-2).
+    """
+    n = len(axes)
+    levels = [[bits for _, bits in axes]] * (n + 1)  # the list at each depth
+    for m in preorder(n):
+        q = m.bit_length() - 1
+        depth = m.bit_count()
+        bits = levels[depth - 1]
+        at = q - n + len(bits) - depth + 1  # the parent's list starts at position c + 1
+        stride = axes[q][0]
+        child = bits[at + 1 :]
+        for _ in range(k - 1):
+            child = [b | b >> stride for b in child]
+        child.append(bits[at])
+        kept = -1
+        for b in child[n - 1 - q :]:
+            kept &= b
+        levels[depth] = child
+        yield m, kept
 
 
 def compose(op_values, op_arity, args, k, size):

@@ -103,13 +103,13 @@ def is_separable(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) 
 
 
 def sep_sets(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> list[frozenset[int]]:
-    """All separable sets, ordered lexicographically by sorted indices."""
+    """All separable sets, ordered lexicographically by sorted indices:
+    the masks are visited in `kernels.preorder`."""
     n = _context(n, term)
     _check_cp3_work(alg.carrier_size, n)
     table = induced_operation(term, alg, n)
     counts = kernels.cp3_counts(table.lanes, alg.carrier_size, n)
-    found = [kernels.indices_of_mask(m) for m in range(1, 1 << n) if counts[m] >= 1]
-    return sorted(found, key=lambda s: tuple(sorted(s)))
+    return [s for m, s in kernels.index_sets(n) if counts[m]]
 
 
 def is_subterm(t: Term, s: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> bool:

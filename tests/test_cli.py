@@ -58,6 +58,22 @@ class TestAlgCheck:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert f"field {field} must be a list" in err
 
+    def test_huge_arity_is_a_length_error_at_once(self, capsys, tmp_path):
+        # the length is compared before 3**10000000 is computed, which
+        # took seconds and then failed to print
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"name": "a", "carrier": 3, "operations":'
+            ' [{"symbol": "f", "arity": 10000000, "table": [0]}]}'
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, "alg-check", str(bad))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: operation 'f' (index 0): table length 1, expected k^10000000 = 3^10000000\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "alg-check", str(tmp_path / "nope.json"))
         assert code == 1
@@ -132,6 +148,13 @@ class TestSep:
         code, out, _ = run(capsys, "sep", bu_path, T2, "--set", "1,3")
         assert code == 0
         assert "is separable" in out
+
+    @pytest.mark.parametrize("chunk", ["x\u00b2", "\u00b2", "1,\u2463"])
+    def test_non_decimal_digit_is_usage_error(self, capsys, bu_path, chunk):
+        # isdigit() accepts superscripts and circled digits, which int() rejects
+        code, out, err = run(capsys, "sep", bu_path, "+(x1,x2)", "--set", chunk)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: bad variable list {chunk!r}; expected e.g. 1,3 or x1,x3\n"
 
     def test_precondition_violation(self, capsys, bu_path):
         code, _, err = run(capsys, "sep", bu_path, "*(x1,x2)", "--arity", "3", "--set", "1,3")
@@ -228,6 +251,11 @@ class TestCensusAndClone:
         dump_algebra(catalog.chain3(), path)
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out, err) == (2, "", f"usage error: --arity {argv[2]} is negative\n")
+
+    @pytest.mark.parametrize("command", ["census", "clone"])
+    def test_negative_max_clone_size_is_usage_error(self, capsys, bu_path, command):
+        argv = (command, bu_path, "--arity", "2", "--max-clone-size", "-5")
+        assert run(capsys, *argv) == (2, "", "usage error: --max-clone-size -5 is negative\n")
 
     def test_census_full_ternary_run(self, capsys, bu_path):
         code, out, _ = run(capsys, "census", bu_path, "--arity", "3", "--json")

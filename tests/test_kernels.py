@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from termalg import kernels
+from termalg import catalog, cp3_total, kernels, sep_sets
+from termalg.terms import Apply, Variable
 
 import oracle
 
@@ -275,6 +276,74 @@ def test_cp3_totals_flush_past_255_masks():
 
 def test_cp3_totals_of_no_tables():
     assert kernels.cp3_totals(0, 0, 2, 3, 1) == []
+
+
+def test_cp3_counts_walk_against_each_mask():
+    # every mask of the walk against `_kept` for that mask alone, on random
+    # and skewed tables; skewed ones leave positions fictitious in many
+    # restrictions, so that kept bits die at some masks and not others
+    rng = random.Random(411)
+    shapes = [(2, n) for n in range(5, 10)] + [(3, 5), (4, 4)]
+    for k, arity in shapes:
+        for pool in ([0] * 6 + list(range(k)), list(range(k))):
+            values = tuple(rng.choice(pool) for _ in range(k**arity))
+            for table in table_forms(values, k):
+                counts = kernels.cp3_counts(table, k, arity)
+                assert counts == [kernels.cp3_count(table, k, arity, m) for m in range(1 << arity)]
+
+
+def test_cp3_walk_at_the_smallest_shapes():
+    for table, k, arity, counts in (
+        (bytes((1,)), 2, 0, [0]),
+        (bytes((0,)), 1, 0, [0]),
+        (bytes((0, 1)), 2, 1, [0, 1]),
+        (bytes((1, 1)), 2, 1, [0, 0]),
+        (bytes((0, 2, 1)), 3, 1, [0, 1]),
+        (bytes((0,)), 1, 1, [0, 0]),
+        (bytes((0,)), 1, 3, [0] * 8),
+    ):
+        assert kernels.cp3_counts(table, k, arity) == counts
+        total = sum(counts)
+        assert kernels.cp3_totals(int.from_bytes(table * 2, "little"), 2, k, arity, 1) == [total] * 2
+
+
+def test_cp3_totals_walk_on_boundary_neighbours():
+    rng = random.Random(412)
+    for k, arity in ((2, 5), (2, 6), (3, 5)):
+        for pool in ([0] * 6 + list(range(k)), list(range(k))):
+            first = tuple(rng.choice(pool) for _ in range(k**arity))
+            tables = boundary_neighbours(first, k)
+            expected = [sum(kernels.cp3_counts(lanes(t, k), k, arity)) for t in tables]
+            for width in (1, 2, 4, 8):
+                assert kernels.cp3_totals(joined(tables, width), len(tables), k, arity, width) == expected
+
+
+def in_sorted_order(sets):
+    return sorted(sets, key=lambda s: tuple(sorted(s)))
+
+
+def test_preorder_is_the_order_of_sorted_indices():
+    for n in range(11):
+        masks = list(kernels.preorder(n))
+        assert sorted(masks) == list(range(1, 1 << n))
+        sets = [kernels.indices_of_mask(m) for m in masks]
+        assert sets == in_sorted_order(sets)
+
+
+def test_sep_sets_and_cp_per_set_in_sorted_order():
+    rng = random.Random(413)
+    alg = catalog.bool2()
+    for n in range(1, 9):
+        # the sum of all variables leaves every set separable
+        term = Variable(1)
+        for i in range(2, n + 1):
+            term = Apply(rng.choice("+*"), (term, Variable(i)))
+        term = Apply("+", (term, Variable(rng.randint(1, n))))
+        found = sep_sets(term, alg, n)
+        assert found == in_sorted_order(found)
+        items = cp3_total(term, alg, n).sorted_items()
+        assert [s for s, _ in items] == in_sorted_order(s for s, _ in items)
+        assert len(items) == 2**n - 1
 
 
 def test_cp3_count_rejects_positions_beyond_arity():
