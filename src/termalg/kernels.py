@@ -111,11 +111,11 @@ def cp3_totals(blob, count, k, arity, width):
     if not count:
         return totals
     axes = _moving(blob, width, k, arity, range(arity), count)
-    last = (1 << arity) - 1
+    masks = (1 << arity) - 1
     acc = 0
     for visited, (_, kept) in enumerate(_walk(axes, k), 1):
         acc += int.from_bytes(format(kept, "b")[::-1].encode().translate(_BIT_BYTES), "little")
-        if visited % 255 == 0 or visited == last:
+        if visited % 255 == 0 or visited == masks:
             data = acc.to_bytes(count * size, "little")
             sums = map(sum, (data[i : i + size] for i in range(0, len(data), size)))
             totals = list(map(add, totals, sums))
@@ -145,8 +145,9 @@ def preorder(arity):
 
 def index_sets(arity):
     """Yield (mask, indices_of_mask(mask)) for every nonempty mask below
-    2**arity, in `preorder`. Each set is the one before it at one depth
-    less plus the mask's highest index, so that it takes one union."""
+    2**arity, in `preorder`. A mask's parent, the mask without its
+    highest position, is the last one visited with one position fewer,
+    so each set is one union: its parent's plus the highest index."""
     path = [frozenset()] * (arity + 1)  # the set at each depth
     for m in preorder(arity):
         depth = m.bit_count()
@@ -247,7 +248,8 @@ def _walk(axes, k):
         q = m.bit_length() - 1
         depth = m.bit_count()
         bits = levels[depth - 1]
-        at = q - n + len(bits) - depth + 1  # the parent's list starts at position c + 1
+        # the parent's list starts with its later entries, c + 1 .. n - 1
+        at = q - n + len(bits) - depth + 1
         stride = axes[q][0]
         child = bits[at + 1 :]
         for _ in range(k - 1):
