@@ -168,20 +168,22 @@ def _cmd_cp(args) -> int:
             doc["cp1"] = cp1
         if cp2 is not None:
             doc["cp2"] = cp2
-        if report is None:
-            print(_dumps(doc))
-            return 0
-        doc["cp3"] = {"total": report.total}
-        # the layout of json.dumps(doc, indent=2) with the sets listed
-        # under "per_set" after "total", laid out by hand: faster than _dumps
-        per_set = ",\n".join(
-            '      {\n        "vars": [\n          '
-            + ",\n          ".join(map(str, sorted(m)))
-            + f'\n        ],\n        "count": {c}\n      }}'
-            for m, c in report.sorted_items()
-        )
-        listed = f"[\n{per_set}\n    ]" if per_set else "[]"
-        print(f'{_dumps(doc)[:-6]},\n    "per_set": {listed}\n  }}\n}}')
+        if report is not None:
+            doc["cp3"] = {"total": report.total}
+        out = _dumps(doc)
+        if report is not None:
+            # the layout of json.dumps(doc, indent=2) with the sets listed
+            # under "per_set" after "total", laid out by hand: faster than
+            # _dumps
+            per_set = ",\n".join(
+                '      {\n        "vars": [\n          '
+                + ",\n          ".join(map(str, sorted(m)))
+                + f'\n        ],\n        "count": {c}\n      }}'
+                for m, c in report.sorted_items()
+            )
+            listed = f"[\n{per_set}\n    ]" if per_set else "[]"
+            out = f'{out[:-6]},\n    "per_set": {listed}\n  }}\n}}'
+        print(out)
         return 0
     lines = [f"term: {text}"]
     if cp1 is not None:

@@ -243,6 +243,8 @@ def _walk(axes, k):
     each mask would make n * (n-1) * 2**(n-2).
     """
     n = len(axes)
+    strides = [stride for stride, _ in axes]
+    smears = range(k - 1)
     levels = [[bits for _, bits in axes]] * (n + 1)  # the list at each depth
     for m in preorder(n):
         q = m.bit_length() - 1
@@ -250,14 +252,14 @@ def _walk(axes, k):
         bits = levels[depth - 1]
         # the parent's list starts with its later entries, c + 1 .. n - 1
         at = q - n + len(bits) - depth + 1
-        stride = axes[q][0]
+        stride = strides[q]
         child = bits[at + 1 :]
-        for _ in range(k - 1):
+        for _ in smears:
             child = [b | b >> stride for b in child]
-        child.append(bits[at])
-        kept = -1
+        kept = bits[at]
         for b in child[n - 1 - q :]:
             kept &= b
+        child.append(bits[at])
         levels[depth] = child
         yield m, kept
 
