@@ -334,16 +334,19 @@ def test_sep_sets_and_cp_per_set_in_sorted_order():
     rng = random.Random(413)
     alg = catalog.bool2()
     for n in range(1, 9):
-        # the sum of all variables leaves every set separable
-        term = Variable(1)
+        # the sum of all variables leaves every set separable; a random
+        # chain of + and * leaves some
+        parity, chain = Variable(1), Variable(1)
         for i in range(2, n + 1):
-            term = Apply(rng.choice("+*"), (term, Variable(i)))
-        term = Apply("+", (term, Variable(rng.randint(1, n))))
-        found = sep_sets(term, alg, n)
-        assert found == in_sorted_order(found)
-        items = cp3_total(term, alg, n).sorted_items()
-        assert [s for s, _ in items] == in_sorted_order(s for s, _ in items)
-        assert len(items) == 2**n - 1
+            parity = Apply("+", (parity, Variable(i)))
+            chain = Apply(rng.choice("+*"), (chain, Variable(i)))
+        assert len(sep_sets(parity, alg, n)) == 2**n - 1
+        for term in (parity, chain):
+            found = sep_sets(term, alg, n)
+            assert found == in_sorted_order(found)
+            items = cp3_total(term, alg, n).sorted_items()
+            assert [s for s, _ in items] == in_sorted_order(s for s, _ in items)
+            assert len(items) == 2**n - 1
 
 
 def test_cp3_count_rejects_positions_beyond_arity():
