@@ -102,6 +102,13 @@ class FiniteAlgebra:
                     f"operation {op.symbol!r} (index {pos}): table length "
                     f"{size}, expected k^{op.arity} = {expected}"
                 )
+            # a bool equals 0 or 1 but is written back as false or true
+            if bool in set(map(type, op.table)):
+                j = next(j for j, v in enumerate(op.table) if type(v) is bool)
+                raise AlgebraError(
+                    f"operation {op.symbol!r} (index {pos}): entry {op.table[j]!r} "
+                    f"at table position {j} must be an integer"
+                )
             for j, v in enumerate(op.table):
                 if not isinstance(v, int) or not 0 <= v < k:
                     raise AlgebraError(
@@ -250,6 +257,12 @@ def validate_algebra(raw: Mapping) -> FiniteAlgebra:
             raise AlgebraError(f"operation entry {pos} must have symbol/arity/table") from None
         if not isinstance(symbol, str) or not symbol:
             raise AlgebraError(f"operation entry {pos}: symbol must be a nonempty string")
+        # what terms.parse reads as a variable or a constant
+        if symbol[0] == "#" or symbol[0] == "x" and symbol[1:].isdecimal():
+            token = "constant" if symbol[0] == "#" else "variable"
+            raise AlgebraError(
+                f"operation entry {pos}: field 'symbol' {symbol!r} reads as a {token} in terms"
+            )
         if not isinstance(arity, int) or isinstance(arity, bool):
             raise AlgebraError(f"operation {symbol!r} (index {pos}): arity must be an integer")
         if not isinstance(table, (list, tuple)):
@@ -265,6 +278,8 @@ def load_algebra(path) -> FiniteAlgebra:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise AlgebraError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise AlgebraError(f"{path}: JSON nested too deeply to read") from None
     return validate_algebra(raw)
 
 

@@ -224,17 +224,19 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _witness_texts(witnesses):
-    """Printed witnesses of a clone in discovery order. The arguments of
-    each composed witness are earlier witnesses, so its text joins
-    theirs instead of printing their subterms again."""
-    texts: dict[int, str] = {}
-    for w in witnesses:
-        if isinstance(w, terms.Apply):
-            texts[id(w)] = f"{w.symbol}({','.join(texts[id(c)] for c in w.children)})"
+def _witness_texts(derivations):
+    """Printed witnesses of a clone in discovery order, from the
+    closure's derivations (`CloneLevel`), as `terms.print_term` prints
+    them. The arguments of each composed member are earlier members, so
+    its text joins theirs; no term is built."""
+    texts: list[str] = []
+    for d in derivations:
+        if type(d) is int:
+            texts.append(f"x{d}")
         else:
-            texts[id(w)] = terms.print_term(w)
-    return [texts[id(w)] for w in witnesses]
+            symbol, args = d
+            texts.append(f"{symbol}({','.join(map(texts.__getitem__, args))})")
+    return texts
 
 
 def _cmd_clone(args) -> int:
@@ -242,7 +244,7 @@ def _cmd_clone(args) -> int:
     clone = complexity.clone_level(alg, *_clone_args(args))
     # the closure built these tables, so they need no FunctionTable check
     values = (list(kernels.unpack(t, clone.width)) for t in clone.tables)
-    texts = _witness_texts(clone.witnesses) if args.list else ()
+    texts = _witness_texts(clone._derivations) if args.list else ()
     if args.json:
         head = _dumps({"algebra": alg.name, "n": clone.arity, "size": clone.size})
         if args.list:

@@ -131,7 +131,9 @@ class CloneLevel:
 
     `tables` holds the members as the closure built them, lane bytes of
     `width` bytes per entry; `members` makes them FunctionTables on first
-    use.
+    use. The closure records each member's derivation in `_derivations`:
+    the index i of the projection x_i, or (symbol, argument member
+    indices). `witnesses` builds the terms from them on first use.
     """
 
     arity: int
@@ -139,6 +141,26 @@ class CloneLevel:
     tables: tuple
     width: int
     witnesses: tuple
+
+    @classmethod
+    def _derived(cls, arity, k, tables, width, derivations) -> "CloneLevel":
+        """The level the closure built, its witnesses not yet built."""
+        level = cls.__new__(cls)
+        level.__dict__.update(
+            arity=arity, carrier_size=k, tables=tables, width=width, _derivations=derivations
+        )
+        return level
+
+    @cached_property
+    def witnesses(self) -> tuple:
+        built: list[Term] = []
+        for d in self._derivations:
+            if type(d) is int:
+                built.append(Variable(d))
+            else:
+                symbol, args = d
+                built.append(Apply(symbol, tuple(map(built.__getitem__, args))))
+        return tuple(built)
 
     @cached_property
     def members(self) -> tuple:
@@ -203,26 +225,26 @@ def _closure(alg, n, max_size, bound):
     size = _table_size(k, n)
     step = size * width
     tables: list[bytes] = []
-    witnesses: list[Term] = []
+    derivations: list = []  # as CloneLevel._derivations
     seen: set[bytes] = set()
     # the most members that pass _admit; it raises for the next one
     cap = min(max_size, algebra.WORK_BUDGET // size)
 
-    def add(values: bytes, witness: Term) -> bool:
+    def add(values: bytes, derivation) -> bool:
         """Record a new member; True once the clone reaches the bound."""
         if len(tables) >= cap:
             _admit(len(tables) + 1, max_size, k, n)
         seen.add(values)
         tables.append(values)
-        witnesses.append(witness)
+        derivations.append(derivation)
         return len(tables) == bound
 
     def level():
-        return CloneLevel(n, k, tuple(tables), width, tuple(witnesses))
+        return CloneLevel._derived(n, k, tuple(tables), width, tuple(derivations))
 
     for i in range(1, n + 1):
         values = kernels.projection_lanes(i, n, k, width)
-        if values not in seen and add(values, Variable(i)):
+        if values not in seen and add(values, i):
             return level()
     frontier = 0
     while frontier < len(tables):
@@ -258,9 +280,7 @@ def _closure(alg, n, max_size, bound):
                 for j in compress(range(count), map(novel.__contains__, chunks)):
                     if chunks[j] in seen:
                         continue  # a new table repeated within the block
-                    args = prefix + (first + j,)
-                    witness = Apply(op.symbol, tuple(witnesses[a] for a in args))
-                    if add(chunks[j], witness):
+                    if add(chunks[j], (op.symbol, prefix + (first + j,))):
                         return level()
         frontier = known
     return level()

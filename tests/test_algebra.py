@@ -101,6 +101,56 @@ class TestValidation:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "table, shown, position", [([True, 0], "True", 0), ([1, False], "False", 1)]
+    )
+    def test_bool_entries_rejected(self, tmp_path, table, shown, position):
+        # json reads true as True, which equals 1 but dumps back as true
+        message = (
+            f"operation 'neg' (index 1): entry {shown} at table position {position} "
+            "must be an integer"
+        )
+        ops = [
+            {"symbol": "f", "arity": 1, "table": [0, 1]},
+            {"symbol": "neg", "arity": 1, "table": table},
+        ]
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"name": "a", "carrier": 2, "operations": ops}))
+        with pytest.raises(AlgebraError, match=re.escape(message) + "$"):
+            load_algebra(path)
+        with pytest.raises(AlgebraError, match=re.escape(message) + "$"):
+            FiniteAlgebra("a", 2, [(op["symbol"], 1, op["table"]) for op in ops])
+
+    @pytest.mark.parametrize(
+        "symbol, token",
+        [
+            ("x1", "variable"),
+            ("x0", "variable"),
+            ("x12", "variable"),
+            ("#", "constant"),
+            ("#f", "constant"),
+        ],
+    )
+    def test_symbol_read_as_variable_or_constant_rejected(self, symbol, token):
+        message = f"operation entry 1: field 'symbol' {symbol!r} reads as a {token} in terms"
+        with pytest.raises(AlgebraError, match=re.escape(message) + "$"):
+            validate_algebra(
+                {
+                    "name": "a",
+                    "carrier": 2,
+                    "operations": [
+                        {"symbol": "f", "arity": 1, "table": [0, 1]},
+                        {"symbol": symbol, "arity": 1, "table": [1, 0]},
+                    ],
+                }
+            )
+
+    @pytest.mark.parametrize("symbol", ["x", "x1a", "xy", "y1", "f#", '"+"', "*\\", "\u00ac"])
+    def test_symbols_the_parser_reads_as_symbols_accepted(self, symbol):
+        op = {"symbol": symbol, "arity": 1, "table": [1, 0]}
+        alg = validate_algebra({"name": "a", "carrier": 2, "operations": [op]})
+        assert alg.operations[0].symbol == symbol
+
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path, bu, chain3):
@@ -121,6 +171,13 @@ class TestSerialization:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(AlgebraError, match="invalid JSON"):
+            load_algebra(path)
+
+    def test_deep_nesting_is_an_algebra_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        message = re.escape(f"{path}: JSON nested too deeply to read") + "$"
+        with pytest.raises(AlgebraError, match=message):
             load_algebra(path)
 
     def test_text_is_json_indented_document(self):

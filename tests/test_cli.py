@@ -115,6 +115,14 @@ class TestEval:
         assert out == ""
         assert err == "error: term nested too deeply for the recursion limit\n"
 
+    def test_deeply_nested_algebra_file_is_named(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"name": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "alg-check", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: JSON nested too deeply to read\n"
+
 
 class TestEss:
     def test_human(self, capsys, bu_path):
@@ -290,7 +298,7 @@ class TestCensusAndClone:
             dump_algebra(alg, path)
             clone = clone_level(alg, n)
             texts = [print_term(w) for w in clone.witnesses]
-            assert _witness_texts(clone.witnesses) == texts
+            assert _witness_texts(clone._derivations) == texts
             code, out, _ = run(capsys, "clone", str(path), "--arity", str(n), "--list", "--json")
             assert code == 0
             assert [m["witness"] for m in json.loads(out)["members"]] == texts

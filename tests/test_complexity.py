@@ -281,6 +281,34 @@ class TestCloneLevel:
         for member, witness in zip(clone.members, clone.witnesses):
             assert induced_operation(witness, bu, 3) == member
 
+    def test_closure_level_equals_eagerly_built_level(self, bu, br, chain3):
+        for alg, n in ((bu, 3), (br, 3), (chain3, 3)):
+            clone = clone_level(alg, n)
+            # the witnesses read back from their printed form, before the
+            # closure-built level has built its own
+            texts = cli._witness_texts(clone._derivations)
+            eager = complexity.CloneLevel(
+                n, alg.carrier_size, clone.tables, clone.width, tuple(parse(t, alg) for t in texts)
+            )
+            assert "witnesses" not in vars(clone)
+            assert clone == eager and hash(clone) == hash(eager)
+            assert repr(clone) == repr(eager)
+            assert clone.witnesses is clone.witnesses
+
+    def test_census_and_primal_certificate_build_no_term(self, bu, br, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an Apply was built")
+
+        expected = algebra_n_complexity(br, 3)
+        monkeypatch.setattr(Apply, "__init__", refuse)
+        with pytest.raises(AssertionError, match="an Apply was built"):
+            Apply("+", ())
+        # boolean_ring takes the closure; bool2 is primal, certified by a
+        # closure at arity 2
+        assert algebra_n_complexity(br, 3) == expected
+        assert complexity._primal(bu, 3, complexity.CLONE_BUDGET)
+        assert algebra_n_complexity(bu, 3).clone_size == 256
+
     def test_budget_error(self, bu, chain3):
         # 2 stops among the projections; 5 at the third slot of the block
         # for +(x1, .), after two members from that same block
