@@ -102,18 +102,13 @@ class FiniteAlgebra:
                     f"operation {op.symbol!r} (index {pos}): table length "
                     f"{size}, expected k^{op.arity} = {expected}"
                 )
-            # a bool equals 0 or 1 but is written back as false or true
-            if bool in set(map(type, op.table)):
-                j = next(j for j, v in enumerate(op.table) if type(v) is bool)
-                raise AlgebraError(
-                    f"operation {op.symbol!r} (index {pos}): entry {op.table[j]!r} "
-                    f"at table position {j} must be an integer"
-                )
             for j, v in enumerate(op.table):
-                if not isinstance(v, int) or not 0 <= v < k:
+                # a bool equals 0 or 1 but is written back as false or true
+                if type(v) is bool or not isinstance(v, int) or not 0 <= v < k:
+                    wrong = "must be an integer" if type(v) is bool else f"is outside 0..{k - 1}"
                     raise AlgebraError(
                         f"operation {op.symbol!r} (index {pos}): entry {v!r} "
-                        f"at table position {j} is outside 0..{k - 1}"
+                        f"at table position {j} {wrong}"
                     )
 
     def signature(self) -> dict[str, int]:

@@ -1,5 +1,6 @@
 """Complexity measures, clone enumeration, and the algebra census."""
 
+import json
 import random
 import re
 from collections import Counter
@@ -295,7 +296,9 @@ class TestCloneLevel:
             assert repr(clone) == repr(eager)
             assert clone.witnesses is clone.witnesses
 
-    def test_census_and_primal_certificate_build_no_term(self, bu, br, monkeypatch):
+    def test_census_certificate_and_listing_build_no_term(
+        self, bu, br, bu_path, capsys, monkeypatch
+    ):
         def refuse(self, *args, **kwargs):
             raise AssertionError("an Apply was built")
 
@@ -308,6 +311,8 @@ class TestCloneLevel:
         assert algebra_n_complexity(br, 3) == expected
         assert complexity._primal(bu, 3, complexity.CLONE_BUDGET)
         assert algebra_n_complexity(bu, 3).clone_size == 256
+        assert cli.main(["clone", bu_path, "--arity", "3", "--list", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["members"]) == 256
 
     def test_budget_error(self, bu, chain3):
         # 2 stops among the projections; 5 at the third slot of the block
