@@ -242,29 +242,32 @@ def _witness_texts(derivations):
 def _cmd_clone(args) -> int:
     alg = load_algebra(args.algebra)
     clone = complexity.clone_level(alg, *_clone_args(args))
-    # the closure built these tables, so they need no FunctionTable check
-    values = (list(kernels.unpack(t, clone.width)) for t in clone.tables)
     texts = _witness_texts(clone._derivations) if args.list else ()
     if args.json:
         head = _dumps({"algebra": alg.name, "n": clone.arity, "size": clone.size})
-        if args.list:
+        if not args.list:
+            print(head)
+        elif not texts:
+            print(f'{head[:-2]},\n  "members": []\n}}')
+        else:
             # the layout of json.dumps(doc, indent=2) with the members
-            # listed as "members", laid out by hand: faster than _dumps
-            members = ",\n".join(
-                '    {\n      "values": [\n        '
-                + ",\n        ".join(map(str, v))
-                + '\n      ],\n      "witness": '
-                + _quote(w)
-                + "\n    }"
-                for v, w in zip(values, texts)
+            # listed as "members", laid out by hand: one % writes every
+            # member's values, unpacked from all tables at once, and
+            # leaves a %s for its witness, which a second % fills with
+            # the quoted texts. The closure built these tables, so they
+            # need no FunctionTable check.
+            fields = ",\n        ".join(("%d",) * alg.carrier_size**clone.arity)
+            member = (
+                f'    {{\n      "values": [\n        {fields}\n'
+                '      ],\n      "witness": %%s\n    }'
             )
-            listed = f"[\n{members}\n  ]" if members else "[]"
-            head = f'{head[:-2]},\n  "members": {listed}\n}}'
-        print(head)
+            values = kernels.unpack(b"".join(clone.tables), clone.width)
+            members = ",\n".join((member,) * clone.size) % values % tuple(map(_quote, texts))
+            print(head[:-2], ',\n  "members": [\n', members, "\n  ]\n}", sep="")
         return 0
     print(f"clone of {alg.name} at arity {clone.arity}: {clone.size} members")
-    for i, (v, w) in enumerate(zip(values, texts)):
-        print(f"  {i}: {v}  <-  {w}")
+    for i, (t, w) in enumerate(zip(clone.tables, texts)):
+        print(f"  {i}: {list(kernels.unpack(t, clone.width))}  <-  {w}")
     return 0
 
 

@@ -577,9 +577,10 @@ def _primal(alg, n, max_size):
     """True when a cheap certificate shows that the clone holds every
     operation on the carrier, so that its n-ary members need no closure.
 
-    k = 2: the binary clone holds all 16 functions, since every function
-    on a finite set composes from binary ones (Sierpinski 1945). At n = 1
-    that clone is larger than the one it would spare, so it is not tried.
+    k = 2: Post's criterion (Post 1941), tried from n = 2 on: the clone
+    holds every operation exactly when, for each of the five maximal
+    clones (`_post_clones`), some basic operation lies outside it. At
+    n = 1 the closure of at most four members costs no more.
     k >= 3: the unary clone holds all k**k functions and some basic
     operation is onto and depends on at least two variables (Slupecki
     1939). The closure behind the certificate is never larger than the
@@ -587,22 +588,39 @@ def _primal(alg, n, max_size):
     the census takes the closure, which raises the budget's own error.
     """
     k = alg.carrier_size
-    width = kernels.lane_width(k, ())
     if k == 2 and n >= 2:
-        arity = 2
-    elif k >= 3 and n >= 1 and any(
+        rows = [_post_clones(op.table, op.arity) for op in alg.operations]
+        return not any(all(row[c] for row in rows) for c in range(5))
+    width = kernels.lane_width(k, ())
+    if k < 3 or n < 1 or not any(
         set(op.table) == set(range(k))
         and kernels.essential_mask(kernels.pack(op.table, width), k, op.arity).bit_count() >= 2
         for op in alg.operations
     ):
-        arity = 1
-    else:
         return False
     try:
         # not clone_level, whose early budget check asks this certificate
-        return _closure(alg, arity, max_size, _clone_bound(alg, arity)[0]).size == k ** (k**arity)
+        return _closure(alg, 1, max_size, _clone_bound(alg, 1)[0]).size == k**k
     except BudgetError:
         return False
+
+
+def _post_clones(t, r):
+    """Whether the r-ary operation on {0, 1} with table t lies in each of
+    Post's five maximal clones: the functions that fix 0, those that fix
+    1, the self-dual, the monotone and the affine ones. Together they
+    read the table O(r) times. None depends on the order of the
+    arguments, so bit p of an entry's index stands for one argument."""
+    affine = [t[0]]  # the affine function that agrees with t at 0 and at each unit
+    for p in range(r):
+        affine += [v ^ t[1 << p] ^ t[0] for v in affine]
+    return (
+        t[0] == 0,
+        t[-1] == 1,
+        all(t[i] != t[-1 - i] for i in range(len(t))),
+        all(t[i] <= t[i | 1 << p] for p in range(r) for i in range(len(t))),
+        affine == list(t),
+    )
 
 
 def _all_tables(k, size, width):

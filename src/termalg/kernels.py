@@ -23,7 +23,10 @@ fast zeta transform over the subset lattice: a mask's smeared bitsets
 come from its parent's by one smear each, so n positions take
 n * 2**(n-1) - n smears in all instead of n * (n-1) * 2**(n-2). The walk
 visits the masks in `preorder`, the order of their sorted index tuples,
-in which `cp` and `sep` print them.
+in which `cp` and `sep` print them. `cp3_totals` adds each mask's kept
+bitset into bit-sliced counters, one bitset per binary digit of the
+counts, so that only those at most n digits, not the 2**n - 1 masks,
+are spread into one byte per index and summed per table.
 
 Positions are 0-based here; masks carry position p in bit p. The helpers
 at the bottom translate between masks and the public 1-based
@@ -101,25 +104,39 @@ def cp3_totals(blob, count, k, arity, width):
 
     The table index acts as one more fixed digit above the others, so
     the walk over the masks that `cp3_counts` takes for one table counts
-    every table at once. Each mask's kept bits are added into an
-    accumulator of one byte per index; since a byte holds at most 255,
-    it is flushed into the totals every 255 masks, each table summing
-    its k**arity bytes.
+    every table at once. Each mask's kept bits are added into bit-sliced
+    counters: `digits[j]` holds binary digit j of every index's count,
+    and adding a bitset ripples a carry up the digits until it is 0.
+    Only the at most `arity` digits are then spread into an accumulator
+    of one byte per index, digit j weighted 2**(j % 8). A byte holds at
+    most 255, so each group of eight digits is flushed on its own: each
+    table sums its k**arity bytes, and a group from digit g on adds its
+    sums times 2**g to the totals.
     """
     size = k**arity
     totals = [0] * count
     if not count:
         return totals
     axes = _moving(blob, width, k, arity, range(arity), count)
-    masks = (1 << arity) - 1
-    acc = 0
-    for visited, (_, kept) in enumerate(_walk(axes, k), 1):
-        acc += int.from_bytes(format(kept, "b")[::-1].encode().translate(_BIT_BYTES), "little")
-        if visited % 255 == 0 or visited == masks:
-            data = acc.to_bytes(count * size, "little")
-            sums = map(sum, (data[i : i + size] for i in range(0, len(data), size)))
-            totals = list(map(add, totals, sums))
-            acc = 0
+    digits = []
+    for _, carry in _walk(axes, k):  # add the mask's kept bits
+        j = 0
+        while carry:
+            if j == len(digits):
+                digits.append(carry)
+                break
+            digits[j], carry = digits[j] ^ carry, digits[j] & carry
+            j += 1
+    for group in range(0, len(digits), 8):
+        acc = 0
+        for j, bits in enumerate(digits[group : group + 8]):
+            spread = format(bits, "b")[::-1].encode().translate(_BIT_BYTES)
+            acc += int.from_bytes(spread, "little") << j
+        data = acc.to_bytes(count * size, "little")
+        sums = map(sum, (data[i : i + size] for i in range(0, len(data), size)))
+        if group:
+            sums = map(add, totals, map((1 << group).__mul__, sums))
+        totals = list(sums)
     return totals
 
 
@@ -155,7 +172,8 @@ def index_sets(arity):
         yield m, indices
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # bit characters to bytes
+_NONZERO_ONE = b"0" + b"1" * 255  # a byte to the bit character of its truth
 
 
 def _lanes(lanes, k, arity):
@@ -190,7 +208,7 @@ def _moving(x, width, k, arity, positions, count=1):
     axes = []
     for stride, flags in _axes(x, width, k, arity, positions, count):
         low = flags.to_bytes(k**arity * count * width, "little")[::width]
-        axes.append((stride, int(low.translate(b"0" + b"1" * 255)[::-1], 2)))
+        axes.append((stride, int(low.translate(_NONZERO_ONE)[::-1], 2)))
     return axes
 
 

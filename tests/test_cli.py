@@ -307,21 +307,37 @@ class TestCensusAndClone:
             assert [line.split("  <-  ")[1] for line in out.splitlines()[1:]] == texts
 
     @pytest.mark.parametrize(
-        "name, n", [("bool2", 0), ("bool2", 1), ("bool2", 3), ("chain3", 4), ("odd", 3)]
+        "name, n",
+        [("bool2", 0), ("bool2", 1), ("bool2", 3), ("chain3", 4), ("odd", 3), ("percent", 2), ("z17", 1)],
     )
     def test_clone_list_json_is_the_indented_document(self, capsys, tmp_path, name, n):
-        # a name and symbols that json must escape: quote, backslash,
-        # newline, non-ASCII
-        symbols = ('"+"', "*\\", "\u00ac")
-        ops = tuple(
-            algebra.Operation(s, op.arity, op.table)
-            for s, op in zip(symbols, catalog.bool2().operations)
-        )
-        odd = algebra.FiniteAlgebra('odd "\\ name\n\u00e9', 2, ops)
-        alg = {"bool2": catalog.bool2(), "chain3": catalog.chain3(), "odd": odd}[name]
+        bool2 = catalog.bool2().operations
+
+        def renamed(name, symbols):
+            ops = tuple(algebra.Operation(s, op.arity, op.table) for s, op in zip(symbols, bool2))
+            return algebra.FiniteAlgebra(name, 2, ops)
+
+        algebras = {
+            "bool2": catalog.bool2(),
+            "chain3": catalog.chain3(),
+            # a name and symbols that json must escape: quote, backslash,
+            # newline, non-ASCII
+            "odd": renamed('odd "\\ name\n\u00e9', ('"+"', "*\\", "\u00ac")),
+            # and ones that %-formatting would read
+            "percent": renamed("%s %d %% name", ("%s", "*%d", "%%")),
+            # 17**2 operation-table indices: the closure's lanes are 2 bytes
+            "z17": algebra.FiniteAlgebra(
+                "z17",
+                17,
+                (algebra.Operation("f", 2, tuple((3 * a + b + 1) % 17 for a in range(17) for b in range(17))),),
+            ),
+        }
+        alg = algebras[name]
         path = tmp_path / "alg.json"
         dump_algebra(alg, path)
         clone = clone_level(alg, n)
+        if name == "z17":
+            assert clone.width == 2 and clone.size == 17
         doc = {
             "algebra": alg.name,
             "n": n,
@@ -336,6 +352,13 @@ class TestCensusAndClone:
         # compared line by line: a failing diff of the whole text is slow
         expected = json.dumps(doc, indent=2) + "\n"
         assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+        code, out, _ = run(capsys, "clone", str(path), "--arity", str(n), "--list")
+        assert code == 0
+        head = f"clone of {alg.name} at arity {n}: {clone.size} members\n"
+        assert out == head + "".join(
+            f"  {i}: {list(m.values)}  <-  {print_term(w)}\n"
+            for i, (m, w) in enumerate(zip(clone.members, clone.witnesses))
+        )
         del doc["members"]
         code, out, _ = run(capsys, "clone", str(path), "--arity", str(n), "--json")
         assert out == json.dumps(doc, indent=2) + "\n"

@@ -965,7 +965,7 @@ class TestPrimalCensus:
             for alg in (bu, br, sl, chain3, mod3)
         }
         assert primal == {
-            # at n = 1 the 16-member certificate would outgrow the closure
+            # k = 2 is certified from n = 2 on
             "bool2": [False, False, True, True],
             "boolean-ring": [False] * 4,
             "semilattice2": [False] * 4,
@@ -985,6 +985,34 @@ class TestPrimalCensus:
                 assert clone_level(alg, 3).size == 256
             seen[full] += 1
         assert seen[True] >= 3 and seen[False] >= 3
+
+    def test_post_criterion_matches_brute_clone(self):
+        # every signature of one or two distinct operations of arity 1 or
+        # 2 over {0, 1}, then seeded ones with a ternary operation, checked
+        # against the closure that Post's criterion replaces
+        ops = [
+            Operation(f"f{i}", r, table)
+            for i, (r, table) in enumerate(
+                (r, t) for r in (1, 2) for t in product((0, 1), repeat=2**r)
+            )
+        ]
+        signatures = [(op,) for op in ops] + [(f, g) for i, f in enumerate(ops) for g in ops[i + 1 :]]
+        assert len(signatures) == 210
+        # a monotone clone leaves T0 and T1 only by both constants, so it
+        # takes three operations: both constants and each other operation
+        zero, one = (Operation(f"c{v}", 1, (v, v)) for v in (0, 1))
+        signatures += [(zero, one, op) for op in ops if len(set(op.table)) > 1]
+        rng = random.Random(61)
+        for _ in range(100):
+            ternary = Operation("t", 3, tuple(rng.choice((0, 1)) for _ in range(8)))
+            signatures.append((ternary,) + tuple(rng.sample(ops, rng.choice((0, 1)))))
+        seen = Counter()
+        for signature in signatures:
+            alg = FiniteAlgebra("post", 2, signature)
+            full = len(oracle.brute_clone(alg, 2)[0]) == 16
+            assert complexity._primal(alg, 2, complexity.CLONE_BUDGET) == full, signature
+            seen[full] += 1
+        assert seen[True] >= 50 and seen[False] >= 50
 
     def test_three_element_certificate_matches_brute_clone(self):
         rng = random.Random(59)
@@ -1036,8 +1064,8 @@ class TestPrimalCensus:
             assert census.total == oracle.census_total_all_functions(k, n)
             if (k, n) != (3, 2):
                 assert (census.total, dict(census.histogram)) == oracle.brute_census_all_functions(k, n)
-        # only the certificates' closures ran
-        assert arities == [2, 2, 1, 1]
+        # only mod3's unary certificate closed: k = 2 takes Post's criterion
+        assert arities == [1, 1]
 
     def test_certified_census_equals_the_closure_route(self, bu, mod3, monkeypatch):
         cases = ((bu, 2), (bu, 3), (mod3, 1))

@@ -264,14 +264,27 @@ def test_cp3_totals_wide_carrier():
 
 def test_cp3_totals_flush_past_255_masks():
     # parity of 9 variables leaves every set essential under every
-    # assignment, so index 0 is kept by all 511 masks: its accumulator
-    # byte would pass 255 without a flush every 255 masks
+    # assignment, so index 0 is kept by all 511 masks: its count has
+    # nine binary digits, and a byte holding all nine would pass 255, so
+    # they are spread and flushed in two groups, of eight and of one
     n = 9
     parity = tuple(bin(i).count("1") % 2 for i in range(2**n))
     tables = [parity, tuple(1 - v for v in parity), (0,) * 2**n, parity]
     expected = [sum(kernels.cp3_counts(lanes(t, 2), 2, n)) for t in tables]
     for width in (1, 2):
         assert kernels.cp3_totals(joined(tables, width), len(tables), 2, n, width) == expected
+
+
+def test_cp3_totals_two_full_digit_groups():
+    # at 12 variables index 0 of parity is kept by all 4095 masks, twelve
+    # binary digits: a group of eight and a second group of four
+    n = 12
+    parity = tuple(bin(i).count("1") % 2 for i in range(2**n))
+    # each nonempty set M is essential under all 2**(n - |M|) assignments
+    # of the others: 3**n in all, less 2**n for the empty set
+    expected = [3**n - 2**n, 0, 3**n - 2**n]
+    tables = [parity, (1,) * 2**n, tuple(1 - v for v in parity)]
+    assert kernels.cp3_totals(joined(tables, 1), len(tables), 2, n, 1) == expected
 
 
 def test_cp3_totals_of_no_tables():
