@@ -67,6 +67,17 @@ class Operation:
     def apply(self, args: Sequence[int], k: int) -> int:
         return self.table[tuple_index(args, k)]
 
+    @cached_property
+    def anf(self):
+        """The algebraic normal form `kernels.compose` applies when the
+        carrier is {0, 1}, as `kernels.algebraic_normal_form` gives it."""
+        return kernels.algebraic_normal_form(self.table, self.arity)
+
+    @cached_property
+    def translation(self) -> bytes:
+        """`kernels.translation` of the table, for one-byte lanes."""
+        return kernels.translation(self.table)
+
 
 @record
 class FiniteAlgebra:
@@ -368,9 +379,12 @@ def _check_cp3_work(k: int, n: int) -> None:
 def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
     """Tabulate the n-ary operation the term or polynomial induces.
 
-    Bottom-up on lane bytes: variables become projections (each built
-    once), constants become constant operations, applications compose
-    pointwise.
+    One walk from the leaves up on lane integers (see `kernels`):
+    variables become projections (each built once), a constant c is c
+    times the integer with 1 in every lane, and each application is one
+    `kernels.compose`, which over {0, 1} applies the operation's
+    algebraic normal form by ANDs and XORs. The lane bytes are written
+    once, at the root.
     """
     k = alg.carrier_size
     if n < 0:
@@ -378,19 +392,21 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
     size = _table_size(k, n)
     ops = {op.symbol: op for op in alg.operations}
     width = kernels.lane_width(k, [op.arity for op in alg.operations])
-    projections: dict[int, bytes] = {}
+    ones = int.from_bytes(kernels.constant_lanes(1, size, width), "little")
+    projections: dict[int, int] = {}
 
-    def tab(t: Term) -> bytes:
+    def tab(t: Term) -> int:
         if isinstance(t, Variable):
             if t.index > n:
                 raise TermError(f"variable x{t.index} exceeds context arity {n}")
             if t.index not in projections:
-                projections[t.index] = kernels.projection_lanes(t.index, n, k, width)
+                lanes = kernels.projection_lanes(t.index, n, k, width)
+                projections[t.index] = int.from_bytes(lanes, "little")
             return projections[t.index]
         if isinstance(t, Constant):
             if not 0 <= t.value < k:
                 raise TermError(f"constant #{t.value} outside carrier 0..{k - 1}")
-            return kernels.constant_lanes(t.value, size, width)
+            return t.value * ones
         if not isinstance(t, Apply):
             raise TermError(f"not a term node: {t!r}")
         op = ops.get(t.symbol)
@@ -401,9 +417,10 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
                 f"{t.symbol!r} expects {op.arity} argument(s), got {len(t.children)}"
             )
         args = [tab(c) for c in t.children]
-        return kernels.compose(op.table, op.arity, args, k, size)
+        return kernels.compose(op, args, k, width, size, ones)
 
-    return FunctionTable._from_lanes(n, k, tab(term))
+    lanes = tab(term).to_bytes(size * width, "little")
+    return FunctionTable._from_lanes(n, k, lanes)
 
 
 def restrict_table(table: FunctionTable, evaluation) -> FunctionTable:

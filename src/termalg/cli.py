@@ -42,6 +42,8 @@ def _load_terms(args, *names):
     parsed = [terms.parse(getattr(args, name), alg) for name in names]
     needed = max((terms.max_variable(t) for t in parsed), default=0)
     arity = args.arity if getattr(args, "arity", None) is not None else needed
+    if arity < 0:
+        raise UsageError(f"--arity {arity} is negative")
     if arity < needed:
         raise UsageError(f"--arity {arity} is below the largest variable index {needed}")
     return alg, parsed, arity

@@ -29,9 +29,9 @@ from termalg import (
     transport_algebra,
     validate_algebra,
 )
-from termalg import algebra
+from termalg import algebra, kernels
 from termalg.algebra import dump_algebra
-from termalg.terms import apply_evaluation
+from termalg.terms import Apply, Constant, Variable, apply_evaluation
 
 import oracle
 from helpers import random_term, wide_lane_algebras
@@ -287,6 +287,91 @@ class TestInducedOperation:
                 # sum7 and succ257 tabulate in lanes wider than their values
                 assert got == FunctionTable(n, alg.carrier_size, expected)
                 assert hash(got) == hash(FunctionTable(n, alg.carrier_size, expected))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        arities=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+        n=st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32),
+        polynomial=st.booleans(),
+    )
+    def test_two_element_algebras_match_oracle(self, data, arities, n, seed, polynomial):
+        # over {0, 1} most operations of arity up to 3 compose by their
+        # algebraic normal form, and most of arity 4 exceed the cutoff
+        ops = tuple(
+            Operation(
+                f"f{i}",
+                a,
+                data.draw(st.tuples(*[st.integers(0, 1)] * 2**a), label=f"f{i}"),
+            )
+            for i, a in enumerate(arities)
+        )
+        alg = FiniteAlgebra("random2", 2, ops)
+        rng = random.Random(seed)
+        p_const = 1.0 if n == 0 else 0.3 if polynomial else 0.0
+        for _ in range(5):
+            term = random_term(rng, alg, max(n, 1), 4, p_const)
+            expected = oracle.table_of(term, oracle.ops_of(alg), 2, n)
+            assert induced_operation(term, alg, n).values == expected
+
+    def test_mixed_normal_form_and_lookup(self):
+        # xor composes by its form (two monomials), the 4-ary nor by the
+        # lookup: its form (1 + a)(1 + b)(1 + c)(1 + d) has 16 monomials
+        xor = Operation("+", 2, (0, 1, 1, 0))
+        nor = Operation("nor", 4, (1,) + (0,) * 15)
+        alg = FiniteAlgebra("mixed", 2, (xor, nor))
+        assert xor.anf is not None and nor.anf is None
+        ops = oracle.ops_of(alg)
+        texts = ["#0", "#1", "+(#1,#1)", "nor(#0,#0,#0,#1)", "+(nor(#0,#0,#0,#0),#1)"]
+        for n in (0, 1, 2, 3):
+            if n:
+                texts += [
+                    f"x{n}",
+                    "+(x1,#1)",
+                    f"nor(x1,+(x{n},#1),#0,x1)",
+                    f"+(nor(x{n},x1,+(x1,x{n}),#0),nor(#1,x1,x1,x1))",
+                ]
+            for text in texts:
+                term = parse(text, alg)
+                assert induced_operation(term, alg, n).values == oracle.table_of(term, ops, 2, n)
+
+    def test_lookup_tables_built_once_per_operation(self, monkeypatch):
+        # over three elements every application maps through its
+        # operation's translate table, built on first use and kept by
+        # the Operation; kernels.lookup, which builds one per call, is
+        # left to the clone closure
+        built = []
+        translation, lookup = kernels.translation, kernels.lookup
+        monkeypatch.setattr(kernels, "translation", lambda t: built.append(t) or translation(t))
+        monkeypatch.setattr(kernels, "lookup", lambda *a: built.append(a) or lookup(*a))
+        alg = catalog.mod3()
+        term = parse("max(succ(min(x1,succ(x2))),min(succ(x3),max(x1,succ(succ(x2)))))", alg)
+        expected = oracle.table_of(term, oracle.ops_of(alg), 3, 3)
+        assert induced_operation(term, alg, 3).values == expected
+        assert sorted(built) == sorted(op.table for op in alg.operations)
+        assert induced_operation(term, alg, 3).values == expected
+        assert len(built) == 3
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            # depth first, each node's own checks before its children's
+            (Apply("q", (Variable(9), Constant(5))), "unknown operation symbol 'q'"),
+            (Apply("+", (Variable(9),)), "'+' expects 2 argument(s), got 1"),
+            (Apply("neg", (Apply("q", ()), Variable(9))), "'neg' expects 1 argument(s), got 2"),
+            (Apply("+", (Variable(9), Constant(5))), "variable x9 exceeds context arity 2"),
+            (Apply("+", (Constant(5), Variable(9))), "constant #5 outside carrier 0..1"),
+            (
+                Apply("*", (Apply("neg", (Variable(1),)), Apply("+", (Constant(2), Apply("q", ()))))),
+                "constant #2 outside carrier 0..1",
+            ),
+            (Apply("*", (Variable(2), Apply("neg", (Apply("q", ()),)))), "unknown operation symbol 'q'"),
+        ],
+    )
+    def test_term_errors_in_walk_order(self, bu, term, message):
+        with pytest.raises(TermError, match=re.escape(message) + "$"):
+            induced_operation(term, bu, 2)
 
     def test_table_budget(self, bu, mod3, monkeypatch):
         x1 = parse("x1", bu)

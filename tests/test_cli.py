@@ -252,7 +252,19 @@ class TestCensusAndClone:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv", [("census", "--arity", "-1", "--json"), ("clone", "--arity", "-2", "--list")]
+        "argv",
+        [
+            ("census", "--arity", "-1", "--json"),
+            ("clone", "--arity", "-2", "--list"),
+            # the term commands check the sign before the largest index
+            ("eval", "--arity", "-1", "x1"),
+            ("eval", "--arity", "-3", "#0", "--json"),
+            ("ess", "--arity", "-1", "min(x1,x2)"),
+            ("sep", "--arity", "-1", "min(x1,x2)", "--set", "1"),
+            ("cp", "--arity", "-2", "max(x1,x2)"),
+            ("subterm", "--arity", "-1", "x1", "min(x1,x2)"),
+            ("identity", "--arity", "-1", "min(x1,x2)", "min(x2,x1)"),
+        ],
     )
     def test_negative_arity_is_usage_error(self, capsys, tmp_path, argv):
         path = tmp_path / "chain3.json"

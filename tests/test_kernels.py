@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from termalg import catalog, cp3_total, kernels, sep_sets
+from termalg import Operation, catalog, cp3_total, kernels, sep_sets
 from termalg.terms import Apply, Variable
 
 import oracle
@@ -109,20 +109,30 @@ def test_restrict_against_oracle():
                     assert kernels.unpack(got, width) == expected
 
 
+def lane_int(values, width):
+    """The lane integer `compose` takes: lane bytes read little-endian."""
+    return int.from_bytes(kernels.pack(values, width), "little")
+
+
+def lane_values(x, size, width):
+    return kernels.unpack(x.to_bytes(size * width, "little"), width)
+
+
 def test_compose_against_pointwise():
     rng = random.Random(505)
     for k, arity, n in ((2, 1, 3), (2, 2, 3), (3, 3, 2), (4, 2, 2), (1, 2, 2)):
         size = k**n
-        op = tuple(rng.randrange(k) for _ in range(k**arity))
+        op = Operation("f", arity, tuple(rng.randrange(k) for _ in range(k**arity)))
         args = [tuple(rng.randrange(k) for _ in range(size)) for _ in range(arity)]
         expected = tuple(
-            op[oracle.idx([a[i] for a in args], k)] for i in range(size)
+            op.table[oracle.idx([a[i] for a in args], k)] for i in range(size)
         )
         # any lane at least as wide as the operation-table indices will do
         for width in (1, 2, 4, 8):
-            lanes = [kernels.pack(a, width) for a in args]
-            got = kernels.compose(op, arity, lanes, k, size)
-            assert kernels.unpack(got, width) == expected
+            lanes = [lane_int(a, width) for a in args]
+            ones = lane_int((1,) * size, width)
+            got = kernels.compose(op, lanes, k, width, size, ones)
+            assert lane_values(got, size, width) == expected
 
 
 def test_compose_unary_maps_each_lane():
@@ -137,8 +147,89 @@ def test_compose_unary_maps_each_lane():
         for width in (1, 2, 4, 8):
             if k > 256**width:
                 continue
-            got = kernels.compose(op, 1, [kernels.pack(arg, width)], k, len(arg))
-            assert kernels.unpack(got, width) == tuple(op[a] for a in arg)
+            ones = lane_int((1,) * len(arg), width)
+            got = kernels.compose(
+                Operation("f", 1, op), [lane_int(arg, width)], k, width, len(arg), ones
+            )
+            assert lane_values(got, len(arg), width) == tuple(op[a] for a in arg)
+
+
+def brute_anf(values, arity):
+    """Coefficient of each argument set, by its definition: the XOR of
+    the table over the tuples whose 1-digits lie in the set."""
+    coefficients = {}
+    for digits in product((0, 1), repeat=arity):
+        chosen = tuple(j for j in range(arity) if digits[j])
+        under = (
+            t for t in product((0, 1), repeat=arity) if all(d or not a for d, a in zip(digits, t))
+        )
+        coefficients[chosen] = sum(values[oracle.idx(t, 2)] for t in under) % 2
+    return {m for m, c in coefficients.items() if c}
+
+
+def boolean_operations():
+    """Every operation on {0, 1} of arity 1-3, and at each arity 4-6
+    ten seeded random ones, whose forms mostly exceed the cutoff, and
+    ten made from random forms of 1-6 monomials."""
+    rng = random.Random(507)
+    for arity in (1, 2, 3):
+        for table in product((0, 1), repeat=2**arity):
+            yield Operation("f", arity, table)
+    for arity in (4, 5, 6):
+        for _ in range(10):
+            yield Operation("f", arity, tuple(rng.randrange(2) for _ in range(2**arity)))
+        sets = list(product((0, 1), repeat=arity))
+        for _ in range(10):
+            form = rng.sample(sets, rng.randint(1, 6))
+            table = (
+                sum(all(d or not m for d, m in zip(digits, mono)) for mono in form) % 2
+                for digits in product((0, 1), repeat=arity)
+            )
+            yield Operation("f", arity, tuple(table))
+
+
+def test_algebraic_normal_form_against_definition():
+    short = []
+    for op in boolean_operations():
+        expected = brute_anf(op.table, op.arity)
+        if len(expected) > kernels._ANF_MONOMIALS:
+            assert op.anf is None
+            continue
+        short.append(op.arity)
+        assert len(op.anf) == len(expected)
+        assert {tuple(sorted(m)) for m in op.anf} == expected
+        # the XOR of the ANDs is the table at every tuple
+        for digits in product((0, 1), repeat=op.arity):
+            value = sum(all(digits[j] for j in m) for m in op.anf) % 2
+            assert value == op.table[oracle.idx(digits, 2)]
+    # all 276 of arity 1-3 but the 9 ternary forms of 7 or 8 monomials,
+    # and some of the others
+    assert sum(a <= 3 for a in short) == 4 + 16 + 256 - 9
+    assert max(short) == 6
+
+
+def test_compose_every_boolean_operation():
+    # every operation of arity 1-3 on random lanes: the form, or the
+    # lookup past the cutoff, equals the pointwise reference and the
+    # lookup path, the multiply-add of the arguments through
+    # kernels.lookup
+    rng = random.Random(508)
+    for op in boolean_operations():
+        if op.arity > 3:
+            continue
+        size = rng.randint(1, 40)
+        args = [tuple(rng.randrange(2) for _ in range(size)) for _ in range(op.arity)]
+        expected = tuple(op.table[oracle.idx(t, 2)] for t in zip(*args))
+        for width in (1, 2):
+            lanes = [lane_int(a, width) for a in args]
+            ones = lane_int((1,) * size, width)
+            got = kernels.compose(op, lanes, 2, width, size, ones)
+            assert lane_values(got, size, width) == expected
+            combined = 0
+            for a in lanes:
+                combined = combined * 2 + a
+            looked_up = kernels.lookup(op.table, width)(combined.to_bytes(size * width, "little"))
+            assert got == int.from_bytes(looked_up, "little")
 
 
 def test_lane_width():
