@@ -30,6 +30,7 @@ from .complexity import (
     ComplexityReport,
     algebra_n_complexity,
     clone_level,
+    clone_size,
     cp1,
     cp2,
     cp3_of_table,
@@ -114,6 +115,7 @@ __all__ = [
     "ComplexityReport",
     "CloneLevel",
     "clone_level",
+    "clone_size",
     "AlgebraCensus",
     "algebra_n_complexity",
     # errors

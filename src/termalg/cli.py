@@ -243,10 +243,12 @@ def _witness_texts(derivations):
 
 def _cmd_clone(args) -> int:
     alg = load_algebra(args.algebra)
-    clone = complexity.clone_level(alg, *_clone_args(args))
+    n, max_size = _clone_args(args)
+    clone = complexity.clone_level(alg, n, max_size) if args.list else None
+    size = clone.size if args.list else complexity.clone_size(alg, n, max_size)
     texts = _witness_texts(clone._derivations) if args.list else ()
     if args.json:
-        head = _dumps({"algebra": alg.name, "n": clone.arity, "size": clone.size})
+        head = _dumps({"algebra": alg.name, "n": n, "size": size})
         if not args.list:
             print(head)
         elif not texts:
@@ -258,18 +260,18 @@ def _cmd_clone(args) -> int:
             # leaves a %s for its witness, which a second % fills with
             # the quoted texts. The closure built these tables, so they
             # need no FunctionTable check.
-            fields = ",\n        ".join(("%d",) * alg.carrier_size**clone.arity)
+            fields = ",\n        ".join(("%d",) * alg.carrier_size**n)
             member = (
                 f'    {{\n      "values": [\n        {fields}\n'
                 '      ],\n      "witness": %%s\n    }'
             )
             values = kernels.unpack(b"".join(clone.tables), clone.width)
-            members = ",\n".join((member,) * clone.size) % values % tuple(map(_quote, texts))
+            members = ",\n".join((member,) * size) % values % tuple(map(_quote, texts))
             print(head[:-2], ',\n  "members": [\n', members, "\n  ]\n}", sep="")
         return 0
-    print(f"clone of {alg.name} at arity {clone.arity}: {clone.size} members")
-    for i, (t, w) in enumerate(zip(clone.tables, texts)):
-        print(f"  {i}: {list(kernels.unpack(t, clone.width))}  <-  {w}")
+    print(f"clone of {alg.name} at arity {n}: {size} members")
+    for i, w in enumerate(texts):
+        print(f"  {i}: {list(kernels.unpack(clone.tables[i], clone.width))}  <-  {w}")
     return 0
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "cp3_of_table",
     "value_set",
     "clone_level",
+    "clone_size",
     "algebra_n_complexity",
 ]
 
@@ -181,28 +182,47 @@ def clone_level(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> Clo
     equals (b, a), which touches the newest layer through a and came
     earlier in the same round, so it is never new.
     Raises BudgetError once more than `max_size` distinct members appear
-    or their tables would hold more than WORK_BUDGET entries; when the
-    clone's size is known beforehand (a semilattice, a distributive
-    lattice or a primal algebra), that error comes before any closing.
-    Stops as soon as the clone holds `_clone_bound` members, as many as
-    the free spectrum counts or else as there are n-ary functions
-    preserving every subuniverse: the clone has no more, so it is then
-    complete. With no proper nonempty subuniverse that is all k**(k**n)
-    functions. Raises ValueError for n < 0.
+    or their tables would hold more than WORK_BUDGET entries, before any
+    closing when the clone's size is known (`_known`). Stops once it
+    holds as many members as the clone can have: its known size, else
+    the subuniverse bound. Raises ValueError for n < 0.
+    """
+    known = _known(alg, n, max_size)
+    return _closure(alg, n, max_size, known[0] if known else _subuniverse_bound(alg, n))
+
+
+def clone_size(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> int:
+    """Number of n-ary term operations: the known size (`_known`) with
+    no closing, else that of `clone_level`, with its errors."""
+    known = _known(alg, n, max_size)
+    return known[0] if known else _closure(alg, n, max_size, _subuniverse_bound(alg, n)).size
+
+
+def _known(alg, n, max_size, check=_table_size):
+    """(size, width, build) when the n-ary clone's size is known without
+    closing it, else None: a semilattice or distributive lattice
+    (`_free_spectrum`), or from n = 2 on a primal algebra (`_primal`; at
+    n = 1 the certificate's closure would be the clone itself). `build()`
+    joins the members' lane bytes, `width` bytes per entry. A known size
+    first raises the BudgetError the closure would raise on its way there.
+    Raises ValueError for n < 0, then what `check` raises: the table
+    size check, or the census's cp3 check.
     """
     if n < 0:
         raise ValueError(f"clone arity must be >= 0, got {n}")
     k = alg.carrier_size
-    _table_size(k, n)
-    bound, exact = _clone_bound(alg, n)
-    try:
-        _refuse(bound, max_size, k, n)
-    except BudgetError:
-        # the bound is the clone's size when exact, and for a primal
-        # algebra, all k**(k**n) functions: such a closure is refused now
-        if exact or _primal(alg, n, max_size):
-            raise
-    return _closure(alg, n, max_size, bound)
+    check(k, n)
+    size = _free_spectrum(alg, n)
+    if size is not None:
+        width = kernels.lane_width(k, (2,))
+        build = lambda: b"".join(_free_tables(alg, n, width))
+    elif n > 1 and _primal(alg, n, max_size):
+        size, width = k ** k**n, kernels.lane_width(k, ())
+        build = lambda: _all_tables(k, k**n, width)
+    else:
+        return None
+    _refuse(size, max_size, k, n)
+    return size, width, build
 
 
 def _closure(alg, n, max_size, bound):
@@ -298,16 +318,6 @@ def _refuse(count, max_size, k, n):
     """Raise the BudgetError a closure to `count` members raises on the
     way: at its first member over `max_size` or WORK_BUDGET, if any."""
     _admit(min(count, max_size + 1, algebra.WORK_BUDGET // k**n + 1), max_size, k, n)
-
-
-def _clone_bound(alg, n):
-    """(bound, exact): the n-ary clone has at most `bound` members, and
-    exactly that many when `exact`: the free-spectrum count where there
-    is one, else the subuniverse bound."""
-    count = _free_spectrum(alg, n)
-    if count is not None:
-        return count, True
-    return _subuniverse_bound(alg, n), False
 
 
 # Dedekind numbers M(n) = the monotone Boolean functions of n variables
@@ -487,35 +497,20 @@ def algebra_n_complexity(
 
     One table's count is checked before the clone is built; once the
     clone is known, the count over all its members is charged in full.
-    A semilattice or distributive lattice (`_free_spectrum`), then a
-    primal algebra (`_primal`), skip the closure: their tables are built
-    directly (`_free_tables`, `_all_tables`) once the budget errors the
-    closure would raise on the way to their known number are ruled out.
-    Other algebras take the closure. Raises ValueError for n < 0.
+    A clone of known size (`_known`) is built directly, with no
+    closure; any other is closed. Raises ValueError for n < 0.
     """
-    if n < 0:
-        raise ValueError(f"clone arity must be >= 0, got {n}")
-    k = alg.carrier_size
-    _check_cp3_work(k, n)
-    count = _free_spectrum(alg, n)
-    if count is not None:
-        _refuse(count, max_size, k, n)
-        width = kernels.lane_width(k, (2,))
-        tables = b"".join(_free_tables(alg, n, width))
-    elif _primal(alg, n, max_size):
-        size = k**n
-        count = k**size
-        _refuse(count, max_size, k, n)
-        width = kernels.lane_width(k, ())
-        tables = _all_tables(k, size, width)
-    else:
+    known = _known(alg, n, max_size, _check_cp3_work)
+    if not known:
         clone = _closure(alg, n, max_size, _subuniverse_bound(alg, n))
-        count, width, tables = clone.size, clone.width, b"".join(clone.tables)
+        known = clone.size, clone.width, lambda: b"".join(clone.tables)
+    count, width, build = known
+    k = alg.carrier_size
     _check_work(
         (2**n - 1) * count * k**n,
         f"the census's cp3 needs 2**{n} - 1 sets x {count} members x {k}**{n}",
     )
-    blob = int.from_bytes(tables, "little")
+    blob = int.from_bytes(build(), "little")
     buckets: dict[int, int] = {}
     total = 0
     for t in kernels.cp3_totals(blob, count, k, n, width):
@@ -583,9 +578,9 @@ def _primal(alg, n, max_size):
     n = 1 the closure of at most four members costs no more.
     k >= 3: the unary clone holds all k**k functions and some basic
     operation is onto and depends on at least two variables (Slupecki
-    1939). The closure behind the certificate is never larger than the
-    n-ary one it spares; if a budget stops it, the certificate fails and
-    the census takes the closure, which raises the budget's own error.
+    1939), asked by `_known` from n = 2 on, where its unary closure is
+    smaller than the n-ary one it spares; if a budget stops that, the
+    certificate fails and the n-ary closure raises the budget's error.
     """
     k = alg.carrier_size
     if k == 2 and n >= 2:
@@ -599,8 +594,8 @@ def _primal(alg, n, max_size):
     ):
         return False
     try:
-        # not clone_level, whose early budget check asks this certificate
-        return _closure(alg, 1, max_size, _clone_bound(alg, 1)[0]).size == k**k
+        # at n = 1 `_known` asks no certificate
+        return clone_level(alg, 1, max_size).size == k**k
     except BudgetError:
         return False
 

@@ -375,6 +375,22 @@ class TestCensusAndClone:
         code, out, _ = run(capsys, "clone", str(path), "--arity", str(n), "--json")
         assert out == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.parametrize("name", ["bool2", "boolean_ring", "two_element_semilattice", "chain3", "mod3"])
+    def test_clone_size_with_and_without_list(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        dump_algebra(getattr(catalog, name)(), path)
+        for n in range(4):
+            if (name, n) == ("mod3", 2):
+                continue  # its closure takes about 20 s
+            argv = ("clone", str(path), "--arity", str(n), "--json")
+            code, out, err = run(capsys, *argv)
+            listed = run(capsys, *argv, "--list")
+            assert (listed[0], listed[2]) == (code, err)
+            if code == 0:
+                assert json.loads(listed[1])["size"] == json.loads(out)["size"]
+            else:
+                assert listed[1] == out == ""
+
     def test_repeated_runs_identical(self, capsys, bu_path):
         _, first, _ = run(capsys, "census", bu_path, "--arity", "2", "--json")
         _, second, _ = run(capsys, "census", bu_path, "--arity", "2", "--json")
@@ -494,14 +510,49 @@ class TestWorkBudget:
     )
     def test_known_clone_size_fails_fast(self, capsys, tmp_path, name, argv, message):
         # the clone's size is known (primal; free spectrum), so the
-        # closure's own error comes before any closing
+        # closure's own error comes before any closing, listed or not
         path = tmp_path / f"{name}.json"
-        algebras = {"bool2": catalog.bool2, "chain3": catalog.chain3, "mod3": catalog.mod3}
-        dump_algebra(algebras[name](), path)
+        dump_algebra(getattr(catalog, name)(), path)
+        for listing in ((), ("--list",)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "clone", str(path), *argv, *listing)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("name, n, size", [("bool2", 3, 256), ("chain3", 4, 166), ("mod3", 2, 3**9)])
+    @pytest.mark.parametrize("option", ["--max-clone-size", "WORK_BUDGET"])
+    @pytest.mark.parametrize("short", [1, 0])
+    def test_cut_points_with_and_without_list(
+        self, capsys, tmp_path, monkeypatch, name, n, size, option, short
+    ):
+        # one member short of the clone's size, the closure's own error,
+        # with or without --list; at its size, the clone
+        alg = getattr(catalog, name)()
+        k = alg.carrier_size
+        path = tmp_path / f"{name}.json"
+        dump_algebra(alg, path)
+        argv = ["clone", str(path), "--arity", str(n), "--json"]
+        if option == "WORK_BUDGET":
+            budget = size * k**n - short
+            monkeypatch.setattr(algebra, "WORK_BUDGET", budget)
+            message = f"the closure holds {size} members x {k}**{n} entries, budget is {budget}"
+        else:
+            argv += [option, str(size - short)]
+            message = f"clone budget exceeded: more than {size - 1} members at arity {n}"
         start = time.perf_counter()
-        code, out, err = run(capsys, "clone", str(path), *argv)
+        alone = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        if short:
+            assert alone == (1, "", f"error: {message}\n")
+        else:
+            assert alone == (0, json.dumps({"algebra": alg.name, "n": n, "size": size}, indent=2) + "\n", "")
+        if name == "mod3" and not short:
+            return  # listing all 3**9 members takes a closure of about 20 s
+        code, out, err = run(capsys, *argv, "--list")
+        if short:
+            assert (code, out, err) == alone
+        else:
+            assert (code, json.loads(out)["size"], err) == (0, size, "")
 
     def test_closure_over_budget(self, capsys, monkeypatch, bu_path):
         # under the real budget `clone --arity 14` stops the same way, after

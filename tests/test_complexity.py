@@ -18,6 +18,7 @@ from termalg import (
     FunctionTable,
     algebra_n_complexity,
     clone_level,
+    clone_size,
     cp1,
     cp2,
     cp3_of_table,
@@ -440,6 +441,8 @@ class TestCloneLevel:
                 clone_level(alg, -1)
             with pytest.raises(ValueError, match="clone arity must be >= 0, got -2"):
                 algebra_n_complexity(alg, -2)
+            with pytest.raises(ValueError, match="clone arity must be >= 0, got -3"):
+                clone_size(alg, -3)
 
     def test_deterministic(self, bu):
         a = clone_level(bu, 3)
@@ -558,6 +561,53 @@ class TestCensus:
         keys = [int(c) for c in doc["histogram"]]
         assert keys == sorted(keys, reverse=True)
         assert list(doc) == ["algebra", "n", "clone_size", "total", "histogram"]
+
+
+def _size_or_error(size, alg, n):
+    try:
+        return size(alg, n)
+    except BudgetError as exc:
+        return str(exc)
+
+
+class TestCloneSize:
+    """`clone_size` is the size of `clone_level`, or raises its error."""
+
+    def test_catalog_at_small_arities(self, bu, br, sl, chain3, mod3):
+        for alg in (bu, br, sl, chain3, mod3):
+            for n in range(4):
+                if alg is mod3 and n == 2:
+                    continue  # its closure takes about 20 s; see below for 3**9
+                closed = _size_or_error(lambda alg, n: clone_level(alg, n).size, alg, n)
+                assert _size_or_error(clone_size, alg, n) == closed
+
+    @given(small_algebras())
+    @settings(max_examples=150, deadline=None)
+    def test_random_algebras(self, case):
+        alg, n = case
+        assert clone_size(alg, n) == clone_level(alg, n).size
+
+    def test_closures_run(self, bu, sl, chain3, mod3, monkeypatch):
+        arities = []
+        closure = complexity._closure
+
+        def spy(alg, n, max_size, bound):
+            arities.append(n)
+            return closure(alg, n, max_size, bound)
+
+        monkeypatch.setattr(complexity, "_closure", spy)
+        # primal (Post's criterion) and free-spectrum sizes close nothing
+        for alg, n, size in ((bu, 4, 2**16), (chain3, 5, 7579), (sl, 6, 63)):
+            assert clone_size(alg, n) == size
+        assert arities == []
+        # the Slupecki certificate closes the unary clone only
+        assert clone_size(mod3, 2) == 3**9
+        assert arities == [1]
+        # at n = 1 that closure would be the clone itself: it runs once
+        for call in (clone_level, algebra_n_complexity):
+            arities.clear()
+            call(mod3, 1)
+            assert arities == [1]
 
 
 def _random_algebra(rng, k, arities, keep=()):
@@ -1064,7 +1114,9 @@ class TestPrimalCensus:
             assert census.total == oracle.census_total_all_functions(k, n)
             if (k, n) != (3, 2):
                 assert (census.total, dict(census.histogram)) == oracle.brute_census_all_functions(k, n)
-        # only mod3's unary certificate closed: k = 2 takes Post's criterion
+        # mod3 closes its unary clone once: at n = 1 for the clone, which no
+        # certificate precedes, and at n = 2 for the certificate; k = 2
+        # takes Post's criterion
         assert arities == [1, 1]
 
     def test_certified_census_equals_the_closure_route(self, bu, mod3, monkeypatch):
@@ -1133,8 +1185,8 @@ class TestPrimalCensus:
         assert err == f"error: {message}\n"
 
     def test_census_asks_the_certificate_once(self, br, monkeypatch):
-        # boolean_ring is not primal, and at max_size 100 its bound at
-        # arity 3 would be refused, which is when clone_level asks
+        # boolean_ring is not primal: the census and clone_level each ask
+        # `_known` once, which asks the certificate once
         calls = []
         primal = complexity._primal
         monkeypatch.setattr(
