@@ -307,11 +307,13 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _dumps(doc, indent: str = "\n") -> str:
-    """json.dumps(doc, indent=2), byte for byte. With an indent, json
-    encodes through its pure-Python encoder; here strings are quoted in
-    C, exact ints and lists of them are written by str and one join, and
-    any other scalar goes to json.dumps. Dict keys are str. `indent` is
-    the line break and indent before the closing bracket of `doc`."""
+    """json.dumps(doc, indent=2), byte for byte, where a bytes value is
+    written as the list of its byte values. With an indent, json encodes
+    through its pure-Python encoder; here strings are quoted in C, lists
+    of exact ints are written by str and one join, bytes below 10 by one
+    translate to ASCII digits and one join, and any other scalar goes to
+    json.dumps. Dict keys are str. `indent` is the line break and indent
+    before the closing bracket of `doc`."""
     if isinstance(doc, str):
         return _quote(doc)
     if type(doc) is int:
@@ -322,17 +324,23 @@ def _dumps(doc, indent: str = "\n") -> str:
             return "{}"
         left, right = "{", "}"
         items = (_quote(key) + ": " + _dumps(value, inner) for key, value in doc.items())
-    elif isinstance(doc, (list, tuple)):
+    elif isinstance(doc, (list, tuple, bytes)):
         if not doc:
             return "[]"
         left, right = "[", "]"
-        if {*map(type, doc)} == {int}:
+        if type(doc) is bytes:
+            items = doc.translate(_DIGITS).decode() if max(doc) < 10 else map(str, doc)
+        elif {*map(type, doc)} == {int}:
             items = map(str, doc)
         else:
             items = (_dumps(x, inner) for x in doc)
     else:
         return json.dumps(doc)
     return left + inner + ("," + inner).join(items) + indent + right
+
+
+# bytes 0..9 to the ASCII digits that write them
+_DIGITS = bytes(range(48, 58)) + bytes(246)
 
 
 def dump_algebra(alg: FiniteAlgebra, path) -> None:

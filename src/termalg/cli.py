@@ -25,13 +25,16 @@ def _format_set(indices) -> str:
     return "{" + ",".join(f"x{i}" for i in sorted(indices)) + "}"
 
 
-def _parse_index_set(text: str) -> list[int]:
+def _parse_index_set(text: str, arity: int) -> list[int]:
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip().lstrip("x")
         if not chunk.isdecimal():  # what int() reads; isdigit also takes '²'
             raise UsageError(f"bad variable list {text!r}; expected e.g. 1,3 or x1,x3")
-        out.append(int(chunk))
+        try:
+            out.append(terms._decimal(chunk))
+        except ValueError:  # more digits than int() converts: no index of x1..xn
+            raise ValueError(f"variable index {chunk} outside 1..{arity}") from None
     if not out:
         raise UsageError("empty variable list")
     return out
@@ -76,12 +79,15 @@ def _cmd_alg_check(args) -> int:
 
 def _cmd_eval(args) -> int:
     alg, (term,), arity = _load_terms(args, "term")
-    values = list(induced_operation(term, alg, arity).values)
+    table = induced_operation(term, alg, arity)
+    k = alg.carrier_size
+    # up to 256 elements a lane is one byte, which _dumps writes as is
+    values = table.lanes if k <= 256 else table.values
     text = terms.print_term(term)
     _emit(
         args,
-        lambda: {"term": text, "arity": arity, "carrier": alg.carrier_size, "values": values},
-        lambda: f"term: {text}\narity {arity} over carrier {alg.carrier_size}\nvalues: {values}",
+        lambda: {"term": text, "arity": arity, "carrier": k, "values": values},
+        lambda: f"term: {text}\narity {arity} over carrier {k}\nvalues: {list(table.values)}",
     )
     return 0
 
@@ -101,7 +107,7 @@ def _cmd_ess(args) -> int:
 def _cmd_sep(args) -> int:
     alg, (term,), arity = _load_terms(args, "term")
     if args.set is not None:
-        subset = _parse_index_set(args.set)
+        subset = _parse_index_set(args.set, arity)
         verdict = semantics.is_separable(term, alg, arity, subset)
         text = terms.print_term(term)
         _emit(

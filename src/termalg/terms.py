@@ -10,6 +10,15 @@ Concrete grammar (whitespace insignificant):
 
 A term without Constant nodes is a plain term; with them it is a
 polynomial. `parse` and `print_term` round-trip: parse(print_term(t)) == t.
+
+`parse` reads the text in one scan. Three replaces and a split, all in C,
+cut it into words, and one loop walks the words with an explicit stack of
+open applications, building the nodes without their checks, which the
+scan has made. Parsing never recurses, so a term of any depth parses;
+printing, `variables` and tabulation recurse once per level. The first
+error, with its message and position, is the one a left-to-right
+recursive descent over the grammar meets; positions are worked out only
+when there is an error.
 """
 
 from __future__ import annotations
@@ -70,93 +79,150 @@ def _signature_of(sig) -> Mapping[str, int]:
     return getter() if callable(getter) else dict(sig)
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+def _symbol_word(word: str) -> bool:
+    """Is the word one operation symbol token: an identifier that is not
+    a variable, or one glyph?"""
+    if len(word) == 1:
+        return word not in "#(),"
+    return (
+        (word[0].isalpha() or word[0] == "_")
+        and word.replace("_", "a").isalnum()
+        and not (word[0] == "x" and word[1:].isdecimal())
+    )
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+def _decimal(digits: str) -> int:
+    """int(digits) of decimal digits in any script. When int() refuses
+    the length, the zeros in front are dropped and it is asked again, so
+    that ValueError means a value of more digits than int() converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(digits.lstrip("".join(c for c in set(digits) if not int(c))) or "0")
 
 
-class _Parser:
-    def __init__(self, text: str, signature: Mapping[str, int]):
-        self.text = text
-        self.sig = signature
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def digits(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def term(self) -> Term:
-        self.skip_ws()
-        start = self.pos
-        c = self.peek()
-        if not c:
-            raise ParseError("expected a term", start)
-        if c == "#":
-            self.pos += 1
-            ds = self.digits()
-            if not ds:
-                raise ParseError("expected digits after '#'", start)
-            return Constant(int(ds))
-        if _is_ident_start(c):
-            while self.pos < len(self.text) and _is_ident_char(self.text[self.pos]):
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name[0] == "x" and name[1:].isdecimal():
-                index = int(name[1:])
-                if index < 1:
-                    raise ParseError(f"variable index must be >= 1 in {name!r}", start)
-                return Variable(index)
-            return self.application(name, start)
-        if c in "(),":
-            raise ParseError("expected a term", start)
-        self.pos += 1
-        return self.application(c, start)
-
-    def application(self, symbol: str, start: int) -> Term:
-        if symbol not in self.sig:
-            raise ParseError(f"unknown operation symbol {symbol!r}", start)
-        arity = self.sig[symbol]
-        self.skip_ws()
-        self.expect("(")
-        children = [self.term()]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            children.append(self.term())
-            self.skip_ws()
-        self.expect(")")
-        if len(children) != arity:
-            raise ParseError(
-                f"{symbol!r} expects {arity} argument(s), got {len(children)}", start
-            )
-        return Apply(symbol, tuple(children))
+def _leaf(word: str):
+    """The Variable or Constant the word is, else None."""
+    if not word[1:].isdecimal() or word[0] not in "x#":
+        return None
+    try:
+        value = _decimal(word[1:])
+    except ValueError:
+        return None
+    if word[0] == "x" and not value:
+        return None
+    cls, field = (Variable, "index") if word[0] == "x" else (Constant, "value")
+    node = cls.__new__(cls)
+    node.__dict__[field] = value
+    return node
 
 
 def parse(text: str, signature) -> Term:
-    """Parse term text against a signature (mapping symbol -> arity)."""
-    p = _Parser(text, _signature_of(signature))
-    node = p.term()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ParseError("trailing input after term", p.pos)
-    return node
+    """Parse term text against a signature (mapping symbol -> arity).
+
+    Three replaces and a split, all in C, cut the text into words: '(',
+    ',', ')' and the runs between them and whitespace. A loop walks the
+    words with an explicit stack of open applications, so that no depth
+    of nesting recurses. Text positions are worked out only for an error.
+    """
+    sig = _signature_of(signature)
+    words = text.replace("(", " ( ").replace(",", " , ").replace(")", " ) ").split()
+    end = len(words)
+    words += "", ""  # no word is empty: the scan reads past the end safely
+    leaves: dict = {}  # word -> its Variable or Constant, in this call
+    symbols: dict = {}  # word -> arity of the operation symbols met
+    stack = []  # open applications: (symbol, arity, word index, outer children)
+    children = None  # of the innermost open application; None at the top
+    new = Apply.__new__
+    i = 0
+    while True:
+        # a term starts at word i
+        word = words[i]
+        if words[i + 1] == "(":
+            arity = symbols.get(word)
+            if arity is None:
+                if word not in sig or not _symbol_word(word):
+                    _term_error(text, words, i, sig, children is not None)
+                arity = symbols[word] = sig[word]
+            stack.append((word, arity, i, children))
+            children = []
+            i += 2
+            continue
+        node = leaves.get(word)
+        if node is None:
+            node = leaves[word] = _leaf(word)
+            if node is None:
+                _term_error(text, words, i, sig, children is not None)
+        i += 1
+        # a term ends before word i
+        while True:
+            if children is None:
+                if i != end:
+                    raise ParseError("trailing input after term", _start(text, words, i))
+                return node
+            children.append(node)
+            word = words[i]
+            if word == ",":
+                i += 1
+                break
+            if word != ")":
+                raise ParseError("expected ')'", _start(text, words, i))
+            symbol, arity, at, outer = stack.pop()
+            if len(children) != arity:
+                raise ParseError(
+                    f"{symbol!r} expects {arity} argument(s), got {len(children)}",
+                    _start(text, words, at),
+                )
+            node = new(Apply)
+            fields = node.__dict__
+            fields["symbol"], fields["children"] = symbol, tuple(children)
+            children = outer
+            i += 1
+
+
+def _start(text: str, words: list, i: int) -> int:
+    """Position in the text of word i; the text's length past the last."""
+    pos = 0
+    for word in words[:i]:
+        pos = text.find(word, pos) + len(word)
+    return text.find(words[i], pos) if words[i] else len(text)
+
+
+def _term_error(text: str, words: list, i: int, sig, inside: bool):
+    """Raise the ParseError of the term that should start at word i but
+    that the scan could not read: lex its first token a character at a
+    time and report what it is or what follows it. `inside` tells
+    whether an application is open."""
+    start = pos = _start(text, words, i)
+    c = text[pos : pos + 1]
+    if not c or c in "(),":
+        raise ParseError("expected a term", start)
+    if c == "#" or c.isalpha() or c == "_":
+        pos += 1
+        while pos < len(text) and (
+            text[pos].isdecimal() if c == "#" else text[pos].isalnum() or text[pos] == "_"
+        ):
+            pos += 1
+        token = text[start:pos]
+        if c == "#" and pos == start + 1:
+            raise ParseError("expected digits after '#'", start)
+        if c == "#" or c == "x" and token[1:].isdecimal():
+            try:
+                value = _decimal(token[1:])
+            except ValueError:
+                digits = pos - start - 1
+                raise ParseError(f"number of {digits} digits is too long", start) from None
+            if c == "x" and value < 1:
+                raise ParseError(f"variable index must be >= 1 in {token!r}", start)
+            # a leaf, and another token follows it
+            message = "expected ')'" if inside else "trailing input after term"
+            raise ParseError(message, len(text) - len(text[pos:].lstrip()))
+    else:
+        token = c
+        pos += 1
+    if token not in sig:
+        raise ParseError(f"unknown operation symbol {token!r}", start)
+    raise ParseError("expected '('", len(text) - len(text[pos:].lstrip()))
 
 
 def print_term(term: Term) -> str:

@@ -8,8 +8,10 @@ cp3 counts come from nested loops over subsets and constant assignments.
 
 from itertools import combinations, product
 from math import comb
+from typing import Mapping
 
-from termalg.terms import Apply, Constant, Variable
+from termalg.errors import ParseError
+from termalg.terms import Apply, Constant, Term, Variable
 
 
 def idx(args, k):
@@ -232,3 +234,103 @@ def brute_pol_count(alg, n):
         all(table[i] in s for s, indices in zip(subs, inside) for i in indices)
         for table in all_tables(k, n)
     )
+
+
+# ---------------------------------------------------------------------------
+# the reference parser: the recursive-descent parser termalg.terms.parse
+# replaced, kept to judge it
+
+
+def _signature_of(sig) -> Mapping[str, int]:
+    getter = getattr(sig, "signature", None)
+    return getter() if callable(getter) else dict(sig)
+
+
+def _is_ident_start(c: str) -> bool:
+    return c.isalpha() or c == "_"
+
+
+def _is_ident_char(c: str) -> bool:
+    return c.isalnum() or c == "_"
+
+
+class _Parser:
+    def __init__(self, text: str, signature: Mapping[str, int]):
+        self.text = text
+        self.sig = signature
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def digits(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def term(self) -> Term:
+        self.skip_ws()
+        start = self.pos
+        c = self.peek()
+        if not c:
+            raise ParseError("expected a term", start)
+        if c == "#":
+            self.pos += 1
+            ds = self.digits()
+            if not ds:
+                raise ParseError("expected digits after '#'", start)
+            return Constant(int(ds))
+        if _is_ident_start(c):
+            while self.pos < len(self.text) and _is_ident_char(self.text[self.pos]):
+                self.pos += 1
+            name = self.text[start : self.pos]
+            if name[0] == "x" and name[1:].isdecimal():
+                index = int(name[1:])
+                if index < 1:
+                    raise ParseError(f"variable index must be >= 1 in {name!r}", start)
+                return Variable(index)
+            return self.application(name, start)
+        if c in "(),":
+            raise ParseError("expected a term", start)
+        self.pos += 1
+        return self.application(c, start)
+
+    def application(self, symbol: str, start: int) -> Term:
+        if symbol not in self.sig:
+            raise ParseError(f"unknown operation symbol {symbol!r}", start)
+        arity = self.sig[symbol]
+        self.skip_ws()
+        self.expect("(")
+        children = [self.term()]
+        self.skip_ws()
+        while self.peek() == ",":
+            self.pos += 1
+            children.append(self.term())
+            self.skip_ws()
+        self.expect(")")
+        if len(children) != arity:
+            raise ParseError(
+                f"{symbol!r} expects {arity} argument(s), got {len(children)}", start
+            )
+        return Apply(symbol, tuple(children))
+
+
+def reference_parse(text: str, signature) -> Term:
+    """Parse term text against a signature (mapping symbol -> arity)."""
+    p = _Parser(text, _signature_of(signature))
+    node = p.term()
+    p.skip_ws()
+    if p.pos != len(text):
+        raise ParseError("trailing input after term", p.pos)
+    return node
+

@@ -212,8 +212,32 @@ _DOCS = st.recursive(
 )
 
 
+# bytes, which _dumps writes as the list of their values, among int lists
+# and dicts; json.dumps is given each bytes value as that list
+_BYTES_DOCS = st.recursive(
+    st.binary(max_size=6)
+    | st.binary(max_size=6).map(lambda b: bytes(x % 10 for x in b))
+    | st.lists(st.integers(-20, 20) | st.booleans(), max_size=4),
+    lambda sub: st.dictionaries(_TEXT, sub, max_size=3),
+    max_leaves=8,
+)
+
+
+def _as_lists(doc):
+    if isinstance(doc, bytes):
+        return list(doc)
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    return doc
+
+
 class TestDumps:
     """algebra._dumps writes every indented JSON document of the package."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_BYTES_DOCS)
+    def test_bytes_are_written_as_lists(self, doc):
+        assert algebra._dumps(doc) == json.dumps(_as_lists(doc), indent=2)
 
     @settings(max_examples=300, deadline=None)
     @given(_DOCS)

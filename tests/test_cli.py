@@ -5,8 +5,11 @@ import time
 
 import pytest
 
-from termalg import algebra, catalog, cli, clone_level, dump_algebra, print_term
+from termalg import algebra, catalog, cli, clone_level, dump_algebra, parse, print_term
 from termalg.cli import _witness_texts, main
+
+import oracle
+from helpers import wide_lane_algebras
 
 T1 = "+(*(x1,x2),x3)"
 T2 = "+(*(x1,x3),*(x2,neg(x3)))"
@@ -108,12 +111,37 @@ class TestEval:
         assert code == 1
         assert "expects 2" in err
 
-    @pytest.mark.parametrize("depth", [400, 3000])
-    def test_deep_nesting_is_domain_error(self, capsys, bu_path, depth):
-        code, out, err = run(capsys, "cp", bu_path, "neg(" * depth + "x1" + ")" * depth)
+    @pytest.mark.parametrize(
+        "command, depth",
+        [
+            # the cp cases keep their ids from before eval and subterm joined
+            pytest.param(command, depth, id=f"{command}-{depth}".removeprefix("cp-"))
+            for command in ("cp", "eval", "subterm")
+            for depth in (400, 3000, 100_000)
+        ],
+    )
+    def test_deep_nesting_is_domain_error(self, capsys, bu_path, command, depth):
+        # parsing does not recurse, but printing and tabulating do
+        term = "neg(" * depth + "x1" + ")" * depth
+        terms = [term, term] if command == "subterm" else [term]
+        code, out, err = run(capsys, command, bu_path, *terms)
         assert code == 1
         assert out == ""
         assert err == "error: term nested too deeply for the recursion limit\n"
+
+    def test_deep_nesting_with_a_syntax_error_is_a_parse_error(self, capsys, bu_path):
+        term = "neg(" * 3000 + "x1" + ")" * 2999
+        code, out, err = run(capsys, "eval", bu_path, term)
+        assert (code, out) == (1, "")
+        assert err == f"error: expected ')' (at position {len(term)})\n"
+
+    @pytest.mark.parametrize(
+        "term, position", [("x" + "9" * 5000, 0), ("+(x1,#" + "9" * 5000 + ")", 5)]
+    )
+    def test_huge_number_is_a_parse_error(self, capsys, bu_path, term, position):
+        code, out, err = run(capsys, "eval", bu_path, term)
+        assert (code, out) == (1, "")
+        assert err == f"error: number of 5000 digits is too long (at position {position})\n"
 
     def test_deeply_nested_algebra_file_is_named(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -163,6 +191,15 @@ class TestSep:
         code, out, err = run(capsys, "sep", bu_path, "+(x1,x2)", "--set", chunk)
         assert (code, out) == (2, "")
         assert err == f"usage error: bad variable list {chunk!r}; expected e.g. 1,3 or x1,x3\n"
+
+    def test_huge_index_is_outside_the_arity(self, capsys, bu_path):
+        index = "9" * 5000
+        code, out, err = run(capsys, "sep", bu_path, "+(x1,x2)", "--set", f"1,{index}")
+        assert (code, out) == (1, "")
+        assert err == f"error: variable index {index} outside 1..2\n"
+        # the zeros in front of an index do not count
+        code, out, _ = run(capsys, "sep", bu_path, "+(x1,x2)", "--set", "1," + "0" * 5000 + "2")
+        assert (code, out) == (0, "{x1,x2} is separable\n")
 
     def test_precondition_violation(self, capsys, bu_path):
         code, _, err = run(capsys, "sep", bu_path, "*(x1,x2)", "--arity", "3", "--set", "1,3")
@@ -437,6 +474,40 @@ class TestJsonOutput:
         code, out, _ = run(capsys, argv[0], str(path), *argv[1:], "--json")
         assert code == 0
         assert out.isascii() and "\\u00e9" in out
+
+
+    @pytest.mark.parametrize(
+        "name, term, n",
+        [
+            ("bool2", "neg(#0)", 0),
+            ("bool2", "+(x1,*(x2,neg(x12)))", 12),
+            ("mod3", "max(min(x1,succ(x4)),x3)", 4),
+            # values reach 10, which no single digit writes
+            ("z11", "max(succ(x1),x2)", 2),
+            # values reach 256, which no lane byte holds
+            ("succ257", "succ(succ(x1))", 1),
+        ],
+    )
+    def test_eval_values(self, capsys, tmp_path, name, term, n):
+        if name == "z11":
+            alg = algebra.FiniteAlgebra(
+                "z11",
+                11,
+                (
+                    algebra.Operation("succ", 1, [(a + 1) % 11 for a in range(11)]),
+                    algebra.Operation("max", 2, [max(a, b) for a in range(11) for b in range(11)]),
+                ),
+            )
+        elif name == "succ257":
+            alg = wide_lane_algebras()[1]
+        else:
+            alg = getattr(catalog, name)()
+        path = tmp_path / f"{name}.json"
+        dump_algebra(alg, path)
+        code, out, _ = run(capsys, "eval", str(path), term, "--arity", str(n), "--json")
+        assert code == 0
+        want = list(oracle.table_of(parse(term, alg), oracle.ops_of(alg), alg.carrier_size, n))
+        assert json.loads(out)["values"] == want
 
 
 class TestTableBudget:

@@ -1,9 +1,10 @@
 """Concrete syntax, substitution, renaming, and constant remapping."""
 
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from termalg import (
@@ -96,6 +97,107 @@ class TestParse:
 
     def test_signature_from_algebra(self, bu):
         assert parse("neg(x1)", bu) == Apply("neg", (Variable(1),))
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("x" + "9" * 5000, 0), ("+(x1,#" + "9" * 5000 + ")", 5), ("+(x1,#" + "9" * 5000, 5)],
+    )
+    def test_huge_number_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError) as caught:
+            parse(text, SIG)
+        assert str(caught.value) == f"number of 5000 digits is too long (at position {position})"
+        assert caught.value.position == position
+
+    def test_zeros_in_front_of_a_number_are_not_counted(self):
+        zeros = "0" * 5000
+        term = parse(f"+(x{zeros}1,#\u0966{zeros}1)", SIG)
+        assert term == Apply("+", (Variable(1), Constant(1)))
+
+    def test_deep_nesting_parses_without_recursion(self):
+        depth = 100_000
+        start = time.perf_counter()
+        node = parse("neg(" * depth + "x1" + ")" * depth, SIG)
+        # linear work takes well under a second; quadratic work, minutes
+        assert time.perf_counter() - start < 5
+        for _ in range(depth):
+            assert node.symbol == "neg" and len(node.children) == 1
+            (node,) = node.children
+        assert node == Variable(1)
+
+    def test_deep_nesting_with_a_syntax_error(self):
+        depth = 100_000
+        text = "neg(" * depth + "x1" + ")" * (depth - 1)
+        with pytest.raises(ParseError, match=rf"expected '\)' \(at position {len(text)}\)"):
+            parse(text, SIG)
+
+
+# The differential test: parse against the recursive-descent parser it
+# replaced, kept in the oracle, on grammar texts over small signatures and
+# on their mutations.
+_SYMBOLS = ["f", "g", "neg", "_h", "x", "ab1", "+", "*", "\u00b2", "\u0967"]
+_LEAVES = ["x1", "x2", "x12", "x01", "#0", "#1", "#10", "x\u0967", "#\u0967"]
+_SPACES = st.sampled_from(["", "", " ", "\t", "\xa0", "\u2003"])
+_ALPHABET = "(),#_0123456789\u00b2\u0967abfgnx+* \t\xa0\u2003"
+
+
+@st.composite
+def _mutated_terms(draw):
+    sig = draw(
+        st.dictionaries(st.sampled_from(_SYMBOLS), st.integers(1, 3), min_size=1, max_size=3)
+    )
+
+    def term(depth):
+        if depth == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(_LEAVES))
+        symbol = draw(st.sampled_from(sorted(sig)))
+        children = [draw(_SPACES) + term(depth - 1) for _ in range(sig[symbol])]
+        return symbol + draw(_SPACES) + "(" + ",".join(children) + draw(_SPACES) + ")"
+
+    text = list(term(3))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "swap"]))
+        at = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            text.insert(at, draw(st.sampled_from(_ALPHABET)))
+        elif text:
+            at = min(at, len(text) - 1)
+            if kind == "delete":
+                del text[at]
+            else:
+                other = draw(st.integers(0, len(text) - 1))
+                text[at], text[other] = text[other], text[at]
+    return "".join(text), sig
+
+
+def _outcome(parser, text, sig):
+    try:
+        return parser(text, sig)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+class TestAgainstReferenceParser:
+    @given(_mutated_terms())
+    @settings(max_examples=500, deadline=None)
+    def test_same_tree_or_same_error(self, case):
+        text, sig = case
+        try:
+            want = _outcome(oracle.reference_parse, text, sig)
+        except RecursionError:
+            assume(False)
+        assert _outcome(parse, text, sig) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "  ", "(", "x1(", "x1 (x2)", "+(x1(x2),x3)", "neg x1", "neg(x1", "neg(x1,)",
+            "neg(,x1)", "+(x1)", "#", "#a", "#1a", "x0", "x00(x1)", "x", "xy", "neg(x1)x2",
+            "neg(x1) x2", "+x1", "x1+", "\u00b2(x1)", "a-b(x1)", "c(x1)", "#(x1)", "((x1))",
+        ],
+    )
+    def test_edge_cases(self, text):
+        sig = {**SIG, "x": 1, "\u00b2": 1, "a-b": 1, "c": 0, "#": 1, "(": 1, "x1": 1}
+        assert _outcome(parse, text, sig) == _outcome(oracle.reference_parse, text, sig)
 
 
 class TestPrint:
