@@ -464,13 +464,18 @@ def direct_power(alg: FiniteAlgebra, m: int, max_entries: int = TABLE_BUDGET) ->
     if m < 1:
         raise AlgebraError(f"power exponent must be >= 1, got {m}")
     k = alg.carrier_size
-    big = k**m
     for op in alg.operations:
-        if big**op.arity > max_entries:
+        # a table has k**(m * arity) entries; for k >= 2 that exceeds the
+        # budget from this exponent on, and the power may be too large to
+        # compute, so the message writes it out only up to 4096 bits
+        e = m * op.arity
+        if k > 1 and e >= max_entries.bit_length() or k**e > max_entries:
+            entries = k**e if e * k.bit_length() <= 4096 else f"{k}**{e}"
             raise BudgetError(
-                f"direct power table for {op.symbol!r} needs {big**op.arity} entries, "
+                f"direct power table for {op.symbol!r} needs {entries} entries, "
                 f"budget is {max_entries}"
             )
+    big = k**m
     codes = list(product(range(k), repeat=m))
     ops = []
     for op in alg.operations:

@@ -439,7 +439,8 @@ def _subuniverse_bound(alg, n, lookups=None):
 
     for j in range(min(n, k) + 1):
         tuples = sum((-1) ** i * comb(j, i) * (j - i) ** n for i in range(j + 1))
-        for subset in combinations(range(k), j):
+        # combinations copies its pool first, and range(k) may not fit
+        for subset in combinations(range(k), j) if j else [()]:
             closed = generated(set(subset).union(*(points.get(x, ()) for x in subset)))
             if closed is None:
                 return bound * k**left

@@ -1,6 +1,6 @@
-"""Table kernels: restriction, pointwise composition, a masked XOR test
-for essential variables, and one axis builder for cp3 counting. They
-are pure Python, the only lane; `BACKEND` names it.
+"""Table kernels: restriction, pointwise composition, and one axis
+builder that serves both the essential-variable test and cp3 counting.
+They are pure Python, the only lane; `BACKEND` names it.
 
 A table is lane bytes: one little-endian lane of `width` bytes per
 entry, with the first argument most significant, so the tuple
@@ -19,23 +19,22 @@ constant monomial: on lanes that hold 0 or 1 it is exact, with no
 lookup. The cutoff is measured where it is defined: at 64 entries a
 form of 7 or more monomials is no faster than the lookup, while at 4096
 entries one of 20 still is. The kernels take lanes of any width that
-holds the values. The essential-variable test and the axis builder
-compare such an integer with its own shifts instead of looping over
-table entries. The axis builder does the same for many tables joined
-into one integer, the table index acting as one more digit above the
-others, so `cp3_totals` counts a whole clone along the path that
-`cp3_counts` takes for one table.
+holds the values. The axis builder (`_axes`) compares such an integer
+with its own shifts instead of looping over table entries, for the
+essential-variable test and for cp3 alike, and does the same for many
+tables joined into one integer, the table index acting as one more
+digit above the others, so `cp3_totals` counts a whole clone along the
+path that `cp3_counts` takes for one table.
 
-`cp3_count` counts one mask (`_kept`). `cp3_counts` and `cp3_totals`
-count every mask in one depth-first walk (`_walk`), shared as in the
-fast zeta transform over the subset lattice: a mask's smeared bitsets
-come from its parent's by one smear each, so n positions take
-n * 2**(n-1) - n smears in all instead of n * (n-1) * 2**(n-2). The walk
-visits the masks in `preorder`, the order of their sorted index tuples,
-in which `cp` and `sep` print them. `cp3_totals` adds each mask's kept
-bitset into bit-sliced counters, one bitset per binary digit of the
-counts, so that only those at most n digits, not the 2**n - 1 masks,
-are spread into one byte per index and summed per table.
+`cp3_counts` and `cp3_totals` count every mask in one depth-first walk
+(`_walk`), and `cp3_count` walks its one mask's positions. The walk is
+shared as in the fast zeta transform over the subset lattice: a mask's
+smeared bitsets come from its parent's by one smear each. It visits the
+masks in `preorder`, the order of their sorted index tuples, in which
+`cp` and `sep` print them. `cp3_totals` adds each mask's kept bitset
+into bit-sliced counters, one bitset per binary digit of the counts, so
+that only those at most n digits, not the 2**n - 1 masks, are spread
+into one byte per index and summed per table.
 
 Positions are 0-based here; masks carry position p in bit p. The helpers
 at the bottom translate between masks and the public 1-based
@@ -49,21 +48,10 @@ BACKEND = "python"
 
 
 def essential_mask(lanes, k, arity):
-    """Bitmask of the positions the tabulated function depends on.
-
-    Position p is essential when some lane whose digit at p is 0 differs
-    from the lane d * stride above it, 0 < d < k: the XOR of the table's
-    integer with its shift by d * stride lanes, under a mask of those
-    whole lanes, is nonzero.
-    """
-    x, width = _lanes(lanes, k, arity)
-    mask = 0
-    for p in range(arity):
-        segment = width * k ** (arity - 1 - p)  # bytes of the lanes of one digit at p
-        lanes = int.from_bytes((b"\xff" * segment + bytes(segment * (k - 1))) * k**p, "little")
-        if any((x ^ x >> 8 * segment * d) & lanes for d in range(1, k)):
-            mask |= 1 << p
-    return mask
+    """Bitmask of the positions the tabulated function depends on: those
+    whose `_axes` flags are nonzero."""
+    axes = _axes(*_lanes(lanes, k, arity), k, arity, range(arity))
+    return sum(1 << p for p, (_, flags) in enumerate(axes) if flags)
 
 
 def restrict(lanes, k, arity, positions, constants):
@@ -92,7 +80,10 @@ def cp3_count(lanes, k, arity, mask):
     if mask >> arity:
         raise ValueError(f"mask {mask:#b} has positions beyond arity {arity}")
     free = [p for p in range(arity) if (mask >> p) & 1]
-    return _kept(_moving(*_lanes(lanes, k, arity), k, arity, free), k).bit_count()
+    for m, kept in _walk(_moving(*_lanes(lanes, k, arity), k, arity, free), k):
+        if m.bit_count() == len(free):  # the walk's |mask|-th: all of free
+            return kept.bit_count()
+    return 0
 
 
 def cp3_counts(lanes, k, arity):
@@ -221,56 +212,38 @@ def _moving(x, width, k, arity, positions, count=1):
     return axes
 
 
-def _kept(axes, k):
-    """The indices that count for the mask whose free positions have
-    these axes, as a bitset: the cp3 count is its size.
+def _walk(axes, k):
+    """Yield (mask, kept) for every nonempty mask over the positions of
+    these axes, in `preorder`; the mask's cp3 count is kept's size.
 
-    A free position is essential in the restriction to an assignment q
-    of the fixed positions when its `moving` bitset meets the indices
-    that agree with q. OR-ing the shifts of `moving` down by d * stride,
-    0 <= d < k, for each other free position moves such a bit to the
-    index of q with all free digits 0. The kept bits are those that
-    every free position sets.
-
-    Shifts that borrow across digits set other bits too, but none
+    A free position (one of the mask) is essential in the restriction
+    to an assignment q of the fixed positions when its `moving` bitset
+    meets the indices that agree with q. Smearing a bitset by a position
+    ORs in its shifts down by d * stride, 0 < d < k; smearing `moving` by
+    every other free position moves such a bit to the index of q with
+    all free digits 0. The kept bits are those that every free position
+    sets. Shifts that borrow across digits set other bits too, but none
     survives the AND. At such an index j, let a be the lowest free
     position with a nonzero digit. Every free digit of j below a is 0,
     so reaching j from an index with digit 0 at a needs a borrow into a
-    that those digits rule out: the folded bitset of a lacks j.
-    """
-    if not axes:
-        return 0
-    kept = -1
-    for p, (_, bits) in enumerate(axes):
-        for a, (stride, _) in enumerate(axes):
-            if a != p:
-                for _ in range(k - 1):
-                    bits |= bits >> stride
-        kept &= bits
-    return kept
+    that those digits rule out: the smeared bitset of a lacks j.
 
+    Smears by different positions commute. At a mask m with highest
+    position c the walk holds one list: for each position r > c, r's
+    `moving` smeared over all of m, in increasing r, then for each
+    position p of m, p's `moving` smeared over the other positions of m.
+    Its child m + {q}, q > c, smears the entries past q's own by q's
+    stride alone and appends q's entry as it is: that is the child's
+    list, and the AND of its last |m| + 1 entries, the child's chosen
+    positions, is the child's kept bits. The walk keeps one list per
+    depth, O(n**2) bitsets for n positions.
 
-def _walk(axes, k):
-    """Yield (mask, kept) for every nonempty mask over the positions of
-    these axes, in `preorder`; `kept` is what `_kept` gives the mask.
-
-    Smearing a bitset by a position ORs in its shifts down by d * stride,
-    0 < d < k, as `_kept` does, and smears by different positions
-    commute. At a mask m with highest position c the walk holds one list:
-    for each position r > c, r's `moving` smeared over all of m, in
-    increasing r, then for each position p of m, p's `moving` smeared
-    over the other positions of m. Its child m + {q}, q > c, smears the
-    entries past q's own by q's stride alone and appends q's entry as it
-    is: that is the child's list, and the AND of its last |m| + 1
-    entries, the child's chosen positions, is the child's kept bits. The
-    walk keeps one list per depth, O(n**2) bitsets for n positions.
-
-    A mask costs a smear per entry past q's, so all masks together cost
-    n * 2**(n-1) - n smears of k - 1 shift-ORs each, where `_kept` for
-    each mask would make n * (n-1) * 2**(n-2).
+    A mask costs a smear per entry past q's: n * 2**(n-1) - n smears of
+    k - 1 shift-ORs each for all masks, against n * (n-1) * 2**(n-2)
+    mask by mask. The first n masks, {0}, {0, 1}, ..., cost n * (n-1),
+    as much as the last of them alone.
     """
     n = len(axes)
-    strides = [stride for stride, _ in axes]
     smears = range(k - 1)
     levels = [[bits for _, bits in axes]] * (n + 1)  # the list at each depth
     for m in preorder(n):
@@ -279,7 +252,7 @@ def _walk(axes, k):
         bits = levels[depth - 1]
         # the parent's list starts with its later entries, c + 1 .. n - 1
         at = q - n + len(bits) - depth + 1
-        stride = strides[q]
+        stride = axes[q][0]
         child = bits[at + 1 :]
         for _ in smears:
             child = [b | b >> stride for b in child]
@@ -386,14 +359,19 @@ def lane_width(k, arities):
 
 def pack(values, width):
     """Lane bytes of a value sequence."""
-    if width not in _LANE_CODES:  # a carrier of more than 2**64 elements
+    code = _LANE_CODES.get(width)
+    if code is None:  # a carrier of more than 2**64 elements
         return b"".join(v.to_bytes(width, "little") for v in values)
-    return struct.pack(f"<{len(values)}{_LANE_CODES[width]}", *values)
+    return struct.pack(f"<{len(values)}{code}", *values)
 
 
 def unpack(data, width):
     """The value tuple held in lane bytes."""
-    return struct.unpack(f"<{len(data) // width}{_LANE_CODES[width]}", data)
+    code = _LANE_CODES.get(width)
+    if code is None:  # a carrier of more than 2**64 elements
+        lanes = range(0, len(data), width)
+        return tuple(int.from_bytes(data[i : i + width], "little") for i in lanes)
+    return struct.unpack(f"<{len(data) // width}{code}", data)
 
 
 def projection_lanes(i, n, k, width):

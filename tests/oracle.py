@@ -334,3 +334,31 @@ def reference_parse(text: str, signature) -> Term:
         raise ParseError("trailing input after term", p.pos)
     return node
 
+
+# ---------------------------------------------------------------------------
+# the one-mask smear: what termalg.kernels.cp3_count computed before it
+# walked its mask's positions with `_walk`, kept to judge the walk
+
+
+def reference_kept(axes, k):
+    """The indices that count for the mask whose free positions have
+    these axes, as a bitset: the cp3 count is its size.
+
+    A free position is essential in the restriction to an assignment q
+    of the fixed positions when its `moving` bitset meets the indices
+    that agree with q. OR-ing the shifts of `moving` down by d * stride,
+    0 <= d < k, for each other free position moves such a bit to the
+    index of q with all free digits 0. The kept bits are those that
+    every free position sets. Shifts that borrow across digits set other
+    bits too; `termalg.kernels._walk` shows that none survives the AND.
+    """
+    if not axes:
+        return 0
+    kept = -1
+    for p, (_, bits) in enumerate(axes):
+        for a, (stride, _) in enumerate(axes):
+            if a != p:
+                for _ in range(k - 1):
+                    bits |= bits >> stride
+        kept &= bits
+    return kept

@@ -500,6 +500,20 @@ class TestDirectPower:
         with pytest.raises(BudgetError, match="budget"):
             direct_power(bu, 2, max_entries=10)
 
+    def test_huge_exponent_is_refused_by_its_size(self):
+        # the table would have 2**200000 entries, a number too long to print
+        with pytest.raises(BudgetError) as err:
+            direct_power(catalog.bool2(), 10**5)
+        assert str(err.value) == (
+            "direct power table for '+' needs 2**200000 entries, budget is 1000000"
+        )
+        # while exponent times k.bit_length() is at most 4096, the count is
+        # written out
+        with pytest.raises(BudgetError, match=f"needs {2**2048} entries"):
+            direct_power(catalog.bool2(), 1024)
+        with pytest.raises(BudgetError, match="needs 2\\*\\*2050 entries"):
+            direct_power(catalog.bool2(), 1025)
+
     def test_diagonal_subalgebra_reproduces_the_algebra(self, bu, sl, chain3):
         for alg in (bu, sl, chain3):
             k = alg.carrier_size

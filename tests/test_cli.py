@@ -510,6 +510,56 @@ class TestJsonOutput:
         assert json.loads(out)["values"] == want
 
 
+class TestHugeCarrier:
+    """A carrier of 2**70 elements, whose lanes are 16 bytes wide, past
+    struct's codes, answers at arity 0 as a 300-element carrier does."""
+
+    @staticmethod
+    def path(tmp_path, k):
+        path = tmp_path / f"k{k}.json"
+        path.write_text(json.dumps({"name": "big", "carrier": k, "operations": []}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "#5", "--arity", "0"],
+            ["eval", "#5", "--arity", "0", "--json"],
+            ["census", "--arity", "0"],
+            ["census", "--arity", "0", "--json"],
+            ["clone", "--arity", "0"],
+            ["clone", "--arity", "0", "--json"],
+            ["clone", "--arity", "0", "--list"],
+            ["clone", "--arity", "0", "--list", "--json"],
+        ],
+    )
+    def test_as_a_300_element_carrier(self, capsys, tmp_path, argv):
+        outputs = []
+        for k in (2**70, 300):
+            code, out, err = run(capsys, argv[0], self.path(tmp_path, k), *argv[1:])
+            assert (code, err) == (0, "")
+            outputs.append(out.replace(str(k), "K"))
+        assert outputs[0] == outputs[1]
+
+    def test_documents(self, capsys, tmp_path):
+        path = self.path(tmp_path, 2**70)
+        answers = {
+            "eval": ("#5",),
+            "census": (),
+            "clone": ("--list",),
+        }
+        docs = {}
+        for command, extra in answers.items():
+            code, out, _ = run(capsys, command, path, *extra, "--arity", "0", "--json")
+            assert code == 0
+            docs[command] = json.loads(out)
+        assert docs["eval"]["values"] == [5]
+        assert docs["eval"]["carrier"] == 2**70
+        census = docs["census"]
+        assert (census["clone_size"], census["total"], census["histogram"]) == (0, 0, {})
+        assert (docs["clone"]["size"], docs["clone"]["members"]) == (0, [])
+
+
 class TestTableBudget:
     @pytest.mark.parametrize(
         "argv, estimate",

@@ -71,6 +71,10 @@ def test_essential_mask_wide_carrier():
             assert kernels.indices_of_mask(kernels.essential_mask(table, 257, 2)) == expected
 
 
+def test_essential_mask_of_a_constant_over_2_to_the_70():
+    assert kernels.essential_mask(kernels.pack([5], 16), 2**70, 0) == 0
+
+
 def test_essential_mask_one_moving_position_at_arity_16():
     values = tuple(i >> 15 for i in range(2**16))
     for table in table_forms(values, 2):
@@ -241,6 +245,16 @@ def test_lane_width():
     assert kernels.lane_width(2, (17,)) == 4
 
 
+def test_pack_round_trip_at_every_width():
+    # width 16 holds a carrier of more than 2**64 elements, past struct's codes
+    for width, top in ((1, 2**8), (2, 2**16), (4, 2**32), (8, 2**64), (16, 2**128)):
+        values = (0, 5, top - 1, top // 3)
+        lanes = kernels.pack(values, width)
+        assert len(lanes) == width * len(values)
+        assert kernels.unpack(lanes, width) == values
+    assert kernels.unpack(kernels.pack([5], 16), 16) == (5,)
+
+
 def test_lane_builders():
     # first argument most significant, as in every table
     for k, n in ((1, 0), (1, 3), (2, 0), (2, 3), (3, 2), (257, 2)):
@@ -383,17 +397,49 @@ def test_cp3_totals_of_no_tables():
 
 
 def test_cp3_counts_walk_against_each_mask():
-    # every mask of the walk against `_kept` for that mask alone, on random
-    # and skewed tables; skewed ones leave positions fictitious in many
-    # restrictions, so that kept bits die at some masks and not others
+    # every mask of the walk, and cp3_count's walk of that mask alone,
+    # against the reference smear of that mask's axes, on random and
+    # skewed tables at shapes too large for brute_cp3_set; skewed ones
+    # leave positions fictitious in many restrictions, so that kept bits
+    # die at some masks and not others
     rng = random.Random(411)
     shapes = [(2, n) for n in range(5, 10)] + [(3, 5), (4, 4)]
     for k, arity in shapes:
         for pool in ([0] * 6 + list(range(k)), list(range(k))):
             values = tuple(rng.choice(pool) for _ in range(k**arity))
             for table in table_forms(values, k):
-                counts = kernels.cp3_counts(table, k, arity)
-                assert counts == [kernels.cp3_count(table, k, arity, m) for m in range(1 << arity)]
+                x, width = int.from_bytes(table, "little"), len(table) // k**arity
+                expected = []
+                for m in range(1 << arity):
+                    free = [p for p in range(arity) if m >> p & 1]
+                    axes = kernels._moving(x, width, k, arity, free)
+                    expected.append(oracle.reference_kept(axes, k).bit_count())
+                assert kernels.cp3_counts(table, k, arity) == expected
+                masks = range(1 << arity)
+                assert [kernels.cp3_count(table, k, arity, m) for m in masks] == expected
+
+
+def test_cp3_count_every_mask_at_the_edge_shapes():
+    # the one-mask walk against the oracle, every mask in every lane width:
+    # on every table up to 256 of them, on 12 random ones at k = 2, arity 4
+    # and k = 3, arity 2 and 3
+    rng = random.Random(415)
+    shapes = [(1, n) for n in range(4)] + [(2, n) for n in range(5)] + [(3, n) for n in range(4)]
+    for k, arity in shapes:
+        size = k**arity
+        if k**size <= 256:
+            cases = product(range(k), repeat=size)
+        else:
+            cases = (tuple(rng.randrange(k) for _ in range(size)) for _ in range(12))
+        for values in cases:
+            expected = [
+                oracle.brute_cp3_set(values, k, arity, kernels.indices_of_mask(m))
+                for m in range(1 << arity)
+            ]
+            expected[0] = 0  # the empty set, which cp3_count never counts
+            for table in table_forms(values, k):
+                got = [kernels.cp3_count(table, k, arity, m) for m in range(1 << arity)]
+                assert got == expected
 
 
 def test_cp3_walk_at_the_smallest_shapes():
