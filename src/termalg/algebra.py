@@ -476,6 +476,10 @@ def direct_power(alg: FiniteAlgebra, m: int, max_entries: int = TABLE_BUDGET) ->
                 f"budget is {max_entries}"
             )
     big = k**m
+    if k == 1 or not alg.operations:
+        # with no operation there is no table to build, and a one-element
+        # algebra is its own power: its tables have one entry at any m
+        return FiniteAlgebra(f"{alg.name}^{m}", big, alg.operations)
     codes = list(product(range(k), repeat=m))
     ops = []
     for op in alg.operations:

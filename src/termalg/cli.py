@@ -282,87 +282,104 @@ def _cmd_clone(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command. It also keeps, as
+    `parser.commands`, the table `_read` binds from: for each command its
+    positional dests in order, its option actions keyed by option string,
+    its required options, and the defaults of its Namespace. The table is
+    taken from the actions `add_argument` returns, so the commands are
+    declared once."""
     parser = argparse.ArgumentParser(
         prog="termalg",
         description="Analyze terms and polynomials over user-defined finite algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    def common(p, with_arity=True):
-        p.add_argument("algebra", help="algebra description file (JSON)")
+    def command(name, help, func):
+        """Add the command; returns its add_argument, which also records
+        each action in the table."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        positional, options, required = [], {}, set()
+        defaults = {sub.dest: name, "func": func}
+        parser.commands[name] = (positional, options, required, defaults)
+
+        def add(*args, **kwargs):
+            action = p.add_argument(*args, **kwargs)
+            if not action.option_strings:
+                positional.append(action.dest)
+                return
+            options.update(dict.fromkeys(action.option_strings, action))
+            defaults[action.dest] = action.default
+            if action.required:
+                required.add(action)
+
+        return add
+
+    def common(add, with_arity=True):
+        add("algebra", help="algebra description file (JSON)")
         if with_arity:
-            p.add_argument(
+            add(
                 "--arity",
                 type=int,
                 default=None,
                 help="context arity n (default: largest variable index used)",
             )
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        add("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("alg-check", help="validate an algebra description file")
-    common(p, with_arity=False)
-    p.set_defaults(func=_cmd_alg_check)
+    add = command("alg-check", "validate an algebra description file", _cmd_alg_check)
+    common(add, with_arity=False)
 
-    p = sub.add_parser("eval", help="tabulate the operation a term induces")
-    common(p)
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_eval)
+    add = command("eval", "tabulate the operation a term induces", _cmd_eval)
+    common(add)
+    add("term")
 
-    p = sub.add_parser("ess", help="essential variables of a term")
-    common(p)
-    p.add_argument("term")
-    p.set_defaults(func=_cmd_ess)
+    add = command("ess", "essential variables of a term", _cmd_ess)
+    common(add)
+    add("term")
 
-    p = sub.add_parser("sep", help="separable sets, or a single-set verdict")
-    common(p)
-    p.add_argument("term")
-    p.add_argument("--set", default=None, help="check one set, e.g. 1,2 or x1,x2")
-    p.set_defaults(func=_cmd_sep)
+    add = command("sep", "separable sets, or a single-set verdict", _cmd_sep)
+    common(add)
+    add("term")
+    add("--set", default=None, help="check one set, e.g. 1,2 or x1,x2")
 
-    p = sub.add_parser("subterm", help="is TERM a subterm of OF?")
-    common(p)
-    p.add_argument("term")
-    p.add_argument("of")
-    p.set_defaults(func=_cmd_subterm)
+    add = command("subterm", "is TERM a subterm of OF?", _cmd_subterm)
+    common(add)
+    add("term")
+    add("of")
 
-    p = sub.add_parser("identity", help="does the algebra satisfy LHS = RHS?")
-    common(p)
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.set_defaults(func=_cmd_identity)
+    add = command("identity", "does the algebra satisfy LHS = RHS?", _cmd_identity)
+    common(add)
+    add("lhs")
+    add("rhs")
 
-    p = sub.add_parser("cp", help="complexity measures of a term")
-    common(p)
-    p.add_argument("term")
-    p.add_argument(
-        "--measures", default="1,2,3", help="comma list from 1,2,3 (default: all)"
-    )
-    p.set_defaults(func=_cmd_cp)
+    add = command("cp", "complexity measures of a term", _cmd_cp)
+    common(add)
+    add("term")
+    add("--measures", default="1,2,3", help="comma list from 1,2,3 (default: all)")
 
-    p = sub.add_parser("census", help="n-complexity of the algebra with histogram")
-    p.add_argument("algebra", help="algebra description file (JSON)")
-    p.add_argument("--arity", type=int, required=True, help="clone arity n")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
+    add = command("census", "n-complexity of the algebra with histogram", _cmd_census)
+    add("algebra", help="algebra description file (JSON)")
+    add("--arity", type=int, required=True, help="clone arity n")
+    add("--json", action="store_true", help="machine-readable output")
+    add(
         "--max-clone-size",
         type=int,
         default=complexity.CLONE_BUDGET,
         help="abort if the clone grows beyond this many members",
     )
-    p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("clone", help="enumerate the n-ary clone")
-    p.add_argument("algebra", help="algebra description file (JSON)")
-    p.add_argument("--arity", type=int, required=True, help="clone arity n")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--list", action="store_true", help="list members with witnesses")
-    p.add_argument(
+    add = command("clone", "enumerate the n-ary clone", _cmd_clone)
+    add("algebra", help="algebra description file (JSON)")
+    add("--arity", type=int, required=True, help="clone arity n")
+    add("--json", action="store_true", help="machine-readable output")
+    add("--list", action="store_true", help="list members with witnesses")
+    add(
         "--max-clone-size",
         type=int,
         default=complexity.CLONE_BUDGET,
         help="abort if the clone grows beyond this many members",
     )
-    p.set_defaults(func=_cmd_clone)
 
     return parser
 
@@ -370,16 +387,64 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = None
 
 
-def main(argv=None) -> int:
-    """Run one command line; exit status 0, 1 (domain error) or 2 (usage
-    error). The parser is built on the first call and kept."""
+def _built() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept."""
     global _parser
     if _parser is None:
         _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    return _parser
+
+
+def _read(argv):
+    """The Namespace `parse_args(argv)` returns, bound without argparse's
+    matcher when the command line is well formed: a command name first,
+    each other token that starts with '-' one of its option strings, at
+    most once, each value option followed by a value that does not start
+    with '-' and that its type converts, every positional and required
+    option present. Anything else (help, abbreviations, `--opt=value`,
+    `--`, negative numbers, every error) gives None, and argparse reads
+    the line."""
+    table = _built().commands.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    positional, options, required, defaults = table
+    bound = dict(defaults)
+    values, seen = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            values.append(token)
+            continue
+        action = options.get(token)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            bound[action.dest] = action.const
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            bound[action.dest] = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # argparse's own error
+    if len(values) != len(positional) or not required <= seen:
+        return None
+    bound.update(zip(positional, values))
+    return argparse.Namespace(**bound)
+
+
+def main(argv=None) -> int:
+    """Run one command line; exit status 0, 1 (domain error) or 2 (usage
+    error). `argv` defaults to sys.argv[1:], as argparse reads it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _built().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except UsageError as exc:

@@ -14,11 +14,11 @@ polynomial. `parse` and `print_term` round-trip: parse(print_term(t)) == t.
 `parse` reads the text in one scan. Three replaces and a split, all in C,
 cut it into words, and one loop walks the words with an explicit stack of
 open applications, building the nodes without their checks, which the
-scan has made. Parsing never recurses, so a term of any depth parses;
-printing, `variables` and tabulation recurse once per level. The first
-error, with its message and position, is the one a left-to-right
-recursive descent over the grammar meets; positions are worked out only
-when there is an error.
+scan has made. Parsing, `variables` and `max_variable` never recurse, so
+a term of any depth parses; printing and tabulation recurse once per
+level. The first error, with its message and position, is the one a
+left-to-right recursive descent over the grammar meets; positions are
+worked out only when there is an error.
 """
 
 from __future__ import annotations
@@ -237,19 +237,25 @@ def print_term(term: Term) -> str:
 
 def variables(term: Term) -> frozenset[int]:
     """Indices of the variables occurring in the term."""
-    if isinstance(term, Variable):
-        return frozenset((term.index,))
-    if isinstance(term, Constant):
-        return frozenset()
-    out: set[int] = set()
-    for c in term.children:
-        out |= variables(c)
-    return frozenset(out)
+    return frozenset(_indices(term))
 
 
 def max_variable(term: Term) -> int:
     """Largest variable index occurring in the term; 0 if none."""
-    return max(variables(term), default=0)
+    return max(_indices(term), default=0)
+
+
+def _indices(term: Term) -> list[int]:
+    """The index of each Variable node of the term, walked with an
+    explicit stack, so that a term of any depth is walked."""
+    out, stack = [], [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Apply):
+            stack.extend(node.children)
+        elif isinstance(node, Variable):
+            out.append(node.index)
+    return out
 
 
 def is_polynomial(term: Term) -> bool:

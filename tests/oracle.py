@@ -47,6 +47,22 @@ def table_of(node, ops, k, n):
     return tuple(eval_term(node, a, ops) for a in product(range(k), repeat=n))
 
 
+def brute_direct_power(alg, m):
+    """Carrier size and tables of the m-th direct power by its definition:
+    an element is an m-tuple, listed first coordinate most significant,
+    and each operation acts on every coordinate."""
+    k = alg.carrier_size
+    elements = list(product(range(k), repeat=m))
+    tables = []
+    for op in alg.operations:
+        table = []
+        for args in product(elements, repeat=op.arity):
+            out = tuple(op.table[idx([a[j] for a in args], k)] for j in range(m))
+            table.append(elements.index(out))
+        tables.append(tuple(table))
+    return len(elements), tables
+
+
 def brute_ess(table, k, n):
     ess = set()
     for i in range(1, n + 1):

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -513,6 +514,35 @@ class TestDirectPower:
             direct_power(catalog.bool2(), 1024)
         with pytest.raises(BudgetError, match="needs 2\\*\\*2050 entries"):
             direct_power(catalog.bool2(), 1025)
+
+    @pytest.mark.parametrize(
+        "alg, m",
+        [
+            (FiniteAlgebra("bare", 2, ()), 64),
+            (FiniteAlgebra("one", 1, (Operation("f", 2, (0,)),)), 10**7),
+        ],
+        ids=["no-operation", "one-element"],
+    )
+    def test_nothing_to_tabulate_returns_at_once(self, alg, m):
+        start = time.perf_counter()
+        power = direct_power(alg, m)
+        assert time.perf_counter() - start < 1
+        assert power.carrier_size == alg.carrier_size**m
+        assert [op.table for op in power.operations] == [op.table for op in alg.operations]
+        for small in (1, 2, 3):
+            power = direct_power(alg, small)
+            assert (
+                power.carrier_size,
+                [op.table for op in power.operations],
+            ) == oracle.brute_direct_power(alg, small)
+
+    def test_small_powers_against_the_definition(self, bu, sl, chain3):
+        for alg, m in ((bu, 2), (bu, 3), (sl, 3), (chain3, 2)):
+            power = direct_power(alg, m)
+            assert (
+                power.carrier_size,
+                [op.table for op in power.operations],
+            ) == oracle.brute_direct_power(alg, m)
 
     def test_diagonal_subalgebra_reproduces_the_algebra(self, bu, sl, chain3):
         for alg in (bu, sl, chain3):

@@ -1,9 +1,14 @@
 """End-to-end CLI behaviour: dispatch, output shape, exit codes."""
 
+import contextlib
+import io
 import json
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termalg import algebra, catalog, cli, clone_level, dump_algebra, parse, print_term
 from termalg.cli import _witness_texts, main
@@ -128,6 +133,15 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert err == "error: term nested too deeply for the recursion limit\n"
+
+    @pytest.mark.parametrize("command", ["eval", "subterm"])
+    def test_deep_term_below_its_arity_is_a_usage_error(self, capsys, bu_path, command):
+        # the largest variable index is found without recursion
+        term = "neg(" * 3000 + "x5" + ")" * 3000
+        terms = ["x1", term] if command == "subterm" else [term]
+        code, out, err = run(capsys, command, bu_path, *terms, "--arity", "2")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --arity 2 is below the largest variable index 5\n"
 
     def test_deep_nesting_with_a_syntax_error_is_a_parse_error(self, capsys, bu_path):
         term = "neg(" * 3000 + "x1" + ")" * 2999
@@ -717,9 +731,14 @@ class TestParserReuse:
 
         monkeypatch.setattr(cli, "_parser", None)
         monkeypatch.setattr(cli, "build_parser", counted)
-        for argv in (["ess", bu_path, T1], ["frobnicate"], ["cp", bu_path, T2, "--json"]):
+        # the first line is bound by the reader, whose table comes with the
+        # parser; the second is argparse's error
+        run(capsys, "ess", bu_path, T1)
+        table = cli._parser.commands
+        for argv in (["frobnicate"], ["cp", bu_path, T2, "--json"]):
             run(capsys, *argv)
         assert len(calls) == 1
+        assert cli._parser.commands is table
 
     def test_same_as_a_fresh_parser(self, capsys, monkeypatch, bu_path):
         monkeypatch.setenv("COLUMNS", "80")
@@ -740,6 +759,188 @@ class TestParserReuse:
         assert "invalid int value: 'x'" in reused[0][2]
         assert reused[1][1].startswith("usage: termalg")
         assert reused[3][1] == "{x1,x3} is separable\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ess", "{bu}", T1, "--json"],
+            ["sep", "{bu}", T2, "--set", "1,3"],
+            ["ess", "{bu}", T1, "--ar", "3"],
+            ["sep", "--help"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_list_tuple_and_sys_argv_alike(self, capsys, monkeypatch, bu_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [a.format(bu=bu_path) for a in argv]
+        outcomes = [run(capsys, *argv)]
+        outcomes.append((main(tuple(argv)), *capsys.readouterr()))
+        monkeypatch.setattr(sys, "argv", ["termalg", *argv])
+        outcomes.append((main(), *capsys.readouterr()))
+        assert outcomes[1:] == outcomes[:1] * 2
+
+
+# Each command's number of positionals and its options, each mapped to the
+# type of its value or to None for a flag. Command lines are drawn in their
+# canonical form from these, then mutated towards the forms the reader
+# must leave to argparse.
+_WORDS = ["bool2.json", "x1", T1, "1,2", "x1,x3", "1,2,3", "", "-", "-x1", "--json", "é", "x²"]
+_INTEGERS = ["0", "3", "12", "-3", "+3", " 3", "3_0", "\u0663", "\uff13", "x", "", "1e3"]
+_INTEGER_OPTIONS = {"--arity", "--max-clone-size"}
+_VALUE_OPTIONS = _INTEGER_OPTIONS | {"--set", "--measures"}
+_COMMANDS = {
+    "alg-check": (1, {"--json": None}),
+    "eval": (2, {"--arity": int, "--json": None}),
+    "ess": (2, {"--arity": int, "--json": None}),
+    "sep": (2, {"--arity": int, "--json": None, "--set": str}),
+    "subterm": (3, {"--arity": int, "--json": None}),
+    "identity": (3, {"--arity": int, "--json": None}),
+    "cp": (2, {"--arity": int, "--json": None, "--measures": str}),
+    "census": (1, {"--arity": int, "--json": None, "--max-clone-size": int}),
+    "clone": (1, {"--arity": int, "--json": None, "--list": None, "--max-clone-size": int}),
+}
+
+
+@st.composite
+def _canonical(draw):
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    count, options = _COMMANDS[name]
+    words = st.one_of(st.sampled_from(_WORDS), st.text(max_size=4)).filter(
+        lambda word: not word.startswith("-")
+    )
+    argv = [name] + [draw(words) for _ in range(count)]
+    for option, kind in options.items():
+        if option == "--arity" and name in ("census", "clone") or draw(st.booleans()):
+            argv.append(option)
+            if kind is int:
+                argv.append(draw(st.sampled_from(["0", "2", "3", "12"])))
+            elif kind is str:
+                argv.append(draw(st.sampled_from(["1,2", "x1,x3", "1,2,3"])))
+    return argv
+
+
+_MUTATIONS = [
+    "abbreviate", "equals", "repeat", "help", "dashes", "value", "drop", "extra", "before",
+    "command",
+]
+
+
+@st.composite
+def _mutated(draw):
+    argv = draw(_canonical())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(argv)))  # a place to insert at
+        kind = draw(st.sampled_from(_MUTATIONS)) if argv else "extra"
+        i = min(at, len(argv) - 1)  # a token to change
+        token = argv[i] if argv else ""
+        if kind == "abbreviate" and token.startswith("--") and len(token) > 3:
+            argv[i] = token[: draw(st.integers(3, len(token) - 1))]
+        elif kind == "equals" and token.startswith("--") and i + 1 < len(argv):
+            argv[i : i + 2] = [f"{token}={argv[i + 1]}"]
+        elif kind == "repeat":
+            argv[i:i] = argv[i : i + 2]  # an option again, with its value
+        elif kind == "help":
+            argv.insert(at, draw(st.sampled_from(["-h", "--help"])))
+        elif kind == "dashes":
+            argv.insert(at, "--")
+        elif kind == "value":
+            # the value of an option, else any token
+            after = [j + 1 for j, t in enumerate(argv[:-1]) if t in _VALUE_OPTIONS]
+            j = draw(st.sampled_from(after)) if after else i
+            integer = argv[j - 1] in _INTEGER_OPTIONS
+            dashed = st.sampled_from([w for w in _WORDS + _INTEGERS if w.startswith("-")])
+            others = st.sampled_from(_INTEGERS + _WORDS if integer else _WORDS)
+            argv[j] = draw(st.one_of(dashed, others))
+        elif kind == "drop":
+            del argv[i]
+        elif kind == "extra":
+            argv.insert(at, draw(st.sampled_from(_WORDS)))
+        elif kind == "before" and token.startswith("-"):
+            argv.insert(0, argv.pop(i))
+        elif kind == "command":
+            argv[0] = draw(st.sampled_from(["es", "ESS", "clones", "", "--json", *_COMMANDS]))
+    return argv
+
+
+def _parsed(argv):
+    """What argparse makes of the line: its Namespace, or its exit."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return f"exit {exc.code}"
+
+
+class TestReader:
+    @given(_mutated())
+    @settings(max_examples=400, deadline=None)
+    def test_none_or_what_argparse_returns(self, argv):
+        bound = cli._read(argv)
+        assert bound is None or bound == _parsed(argv)
+
+    @given(_canonical())
+    @settings(max_examples=100, deadline=None)
+    def test_binds_every_canonical_line(self, argv):
+        assert cli._read(argv) == _parsed(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["es", "f", T1],
+            ["--json", "ess", "f", T1],
+            ["ess", "f", T1, "--ar", "3"],
+            ["ess", "f", T1, "--arity=3"],
+            ["ess", "f", T1, "--json", "--json"],
+            ["ess", "f", T1, "--arity", "3", "--arity", "3"],
+            ["ess", "f", T1, "-h"],
+            ["ess", "--help"],
+            ["ess", "f", "--", T1],
+            ["ess", "f", T1, "--arity", "-3"],
+            ["ess", "f", T1, "--arity", "x"],
+            ["ess", "f", T1, "--arity"],
+            ["sep", "f", T1, "--set", "-x1"],
+            ["sep", "f", T1, "--set", "--json"],
+            ["sep", "f", T1, "--set", "-"],
+            ["ess", "f"],
+            ["ess", "f", T1, "x2"],
+            ["ess", "f", "-", T1],
+            ["census", "f", "--json"],
+        ],
+    )
+    def test_leaves_to_argparse(self, argv):
+        assert cli._read(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alg-check", "{bu}"],
+            ["alg-check", "{bu}", "--json"],
+            ["eval", "{bu}", T1, "--arity", "4", "--json"],
+            ["eval", "{bu}", "+(x1,", "--arity", "3"],
+            ["ess", "--json", "{bu}", T1],
+            ["ess", "{bu}", T1, "--arity", "2"],
+            ["sep", "{bu}", T2],
+            ["sep", "{bu}", T2, "--set", "x1,x3", "--json"],
+            ["sep", "{bu}", T2, "--set", "x\u00b2"],
+            ["subterm", "{bu}", "*(x1,x2)", T1, "--json"],
+            ["identity", "{bu}", "+(x1,x2)", "+(x2,x1)", "--arity", "2"],
+            ["cp", "{bu}", T2, "--measures", "3", "--json"],
+            ["cp", "{bu}", T2, "--measures", "4"],
+            ["census", "{bu}", "--arity", "2", "--json"],
+            ["census", "{bu}", "--arity", "1", "--max-clone-size", "3"],
+            ["clone", "{bu}", "--arity", "1", "--list", "--json"],
+            ["clone", "{bu}", "--list", "--arity", "2"],
+            ["ess", "{missing}", T1],
+        ],
+    )
+    def test_same_output_as_argparse(self, capsys, monkeypatch, bu_path, tmp_path, argv):
+        argv = [a.format(bu=bu_path, missing=tmp_path / "missing.json") for a in argv]
+        assert cli._read(argv) is not None
+        bound = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_read", lambda argv: None)
+        assert run(capsys, *argv) == bound
 
 
 class TestMixedCarrier:

@@ -289,6 +289,12 @@ class TestQueries:
         assert max_variable(t) == 5
         assert max_variable(parse("#0", SIG)) == 0
 
+    def test_variables_of_a_deep_term_without_recursion(self):
+        depth = 100_000
+        t = parse("+(" * depth + "x3" + ",x7)" * depth, SIG)
+        assert variables(t) == {3, 7}
+        assert max_variable(t) == 7
+
     def test_ast_nodes_validate(self):
         with pytest.raises(TermError):
             Variable(0)
