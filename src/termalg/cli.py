@@ -297,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, help, func):
         """Add the command; returns its add_argument, which also records
-        each action in the table."""
+        each action in the table. `_read` binds untyped one-value
+        positionals, one-value options and flags that store `const`; an
+        argument of another kind needs `_read` taught first, or the
+        differential tests in TestReader fail."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         positional, options, required = [], {}, set()
