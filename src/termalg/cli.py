@@ -425,7 +425,7 @@ def _read(argv):
         if action.nargs == 0:
             bound[action.dest] = action.const
             continue
-        value = next(tokens, "-")
+        value = next(tokens, "-")  # a missing value fails as an option would
         if value[:1] == "-":
             return None
         try:
