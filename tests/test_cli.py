@@ -785,7 +785,7 @@ class TestParserReuse:
 # type of its value or to None for a flag. Command lines are drawn in their
 # canonical form from these, then mutated towards the forms the reader
 # must leave to argparse.
-_WORDS = ["bool2.json", "x1", T1, "1,2", "x1,x3", "1,2,3", "", "-", "-x1", "--json", "é", "x²"]
+_WORDS = ["bool2.json", "x1", T1, "1,2", "x1,x3", "1,2,3", "", "-", "--", "-x1", "--json", "é", "x²"]
 _INTEGERS = ["0", "3", "12", "-3", "+3", " 3", "3_0", "\u0663", "\uff13", "x", "", "1e3"]
 _INTEGER_OPTIONS = {"--arity", "--max-clone-size"}
 _VALUE_OPTIONS = _INTEGER_OPTIONS | {"--set", "--measures"}
@@ -897,6 +897,7 @@ class TestReader:
             ["ess", "f", T1, "-h"],
             ["ess", "--help"],
             ["ess", "f", "--", T1],
+            ["ess", "f", "--"],
             ["ess", "f", T1, "--arity", "-3"],
             ["ess", "f", T1, "--arity", "x"],
             ["ess", "f", T1, "--arity"],
