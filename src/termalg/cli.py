@@ -457,7 +457,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # parsing, tabulating and printing recurse once per nesting level
+        # tabulating, cp1 and cp2 recurse once per nesting level
         print("error: term nested too deeply for the recursion limit", file=sys.stderr)
         return 1
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import struct
-from functools import cached_property
-from itertools import chain, combinations, compress
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, combinations, compress, product
 from math import comb
+from operator import or_
 from typing import Iterable, Mapping, Optional
 
 from . import algebra, kernels
@@ -21,6 +22,7 @@ from ._record import record
 from .algebra import (
     FiniteAlgebra,
     FunctionTable,
+    direct_power,
     induced_operation,
     _check_cp3_work,
     _check_work,
@@ -200,11 +202,13 @@ def clone_size(alg: FiniteAlgebra, n: int, max_size: int = CLONE_BUDGET) -> int:
 
 def _known(alg, n, max_size, check=_table_size):
     """(size, width, build) when the n-ary clone's size is known without
-    closing it, else None: a semilattice or distributive lattice
-    (`_free_spectrum`), or from n = 2 on a primal algebra (`_primal`; at
-    n = 1 the certificate's closure would be the clone itself). `build()`
-    joins the members' lane bytes, `width` bytes per entry. A known size
-    first raises the BudgetError the closure would raise on its way there.
+    closing it, else None. The routes, in order: a semilattice or
+    distributive lattice (`_free_spectrum`); from n = 2 on a primal
+    algebra (`_primal`; at n = 1 the certificate's closure would be the
+    clone itself); an algebra with a majority term whose k**(k**n)
+    functions fit WORK_BUDGET (`_baker_pixley`). `build()` joins the
+    members' lane bytes, `width` bytes per entry. A known size first
+    raises the BudgetError the closure would raise on its way there.
     Raises ValueError for n < 0, then what `check` raises: the table
     size check, or the census's cp3 check.
     """
@@ -219,6 +223,9 @@ def _known(alg, n, max_size, check=_table_size):
     elif n > 1 and _primal(alg, n, max_size):
         size, width = k ** k**n, kernels.lane_width(k, ())
         build = lambda: _all_tables(k, k**n, width)
+    elif (chosen := _baker_pixley(alg, n)) is not None:
+        size, width = chosen.bit_count(), kernels.lane_width(k, ())
+        build = lambda: _chosen_tables(k, k**n, width, chosen)
     else:
         return None
     _refuse(size, max_size, k, n)
@@ -247,6 +254,10 @@ def _closure(alg, n, max_size, bound):
     tables: list[bytes] = []
     derivations: list = []  # as CloneLevel._derivations
     seen: set[bytes] = set()
+    # the Struct that splits the last block; it is compiled again only
+    # when the block size changes, and struct.unpack would cache one
+    # compiled format, 32 bytes per table, for each block size it sees
+    split = struct.Struct("")
     # the most members that pass _admit; it raises for the next one
     cap = min(max_size, algebra.WORK_BUDGET // size)
 
@@ -290,9 +301,9 @@ def _closure(alg, n, max_size, bound):
                 data = int.from_bytes(data, "little")
                 data += blob
                 data = lookup(data.to_bytes(count * step, "little"))
-                # a fresh Struct: struct.unpack would cache one compiled
-                # format, 32 bytes per table, for each block size it sees
-                chunks = struct.Struct(f"{step}s" * count).unpack(data)
+                if split.size != count * step:
+                    split = struct.Struct(f"{step}s" * count)
+                chunks = split.unpack(data)
                 del data
                 novel = set(chunks).difference(seen)
                 if not novel:
@@ -418,37 +429,42 @@ def _subuniverse_bound(alg, n, lookups=None):
     left = k**n  # tuples whose factor is not yet known
     bound = 1
     points: dict[int, frozenset] = {}
-
-    def generated(s):
-        nonlocal budget
-        while len(s) < k:
-            cost = sum(len(s) ** op.arity for op in alg.operations)
-            if cost > budget:
-                return None
-            budget -= cost
-            grown = set(s)
-            for op in alg.operations:
-                indices = [0]
-                for _ in range(op.arity):
-                    indices = [i * k + a for i in indices for a in s]
-                grown.update(map(op.table.__getitem__, indices))
-            if len(grown) == len(s):
-                break
-            s = grown
-        return frozenset(s)
-
     for j in range(min(n, k) + 1):
         tuples = sum((-1) ** i * comb(j, i) * (j - i) ** n for i in range(j + 1))
         # combinations copies its pool first, and range(k) may not fit
         for subset in combinations(range(k), j) if j else [()]:
-            closed = generated(set(subset).union(*(points.get(x, ()) for x in subset)))
-            if closed is None:
+            start = set(subset).union(*(points.get(x, ()) for x in subset))
+            found = _generated(alg, start, budget)
+            if found is None:
                 return bound * k**left
+            closed, budget = found
             if j == 1:
                 points[subset[0]] = closed
             bound *= len(closed) ** tuples
             left -= tuples
     return bound
+
+
+def _generated(alg, s, budget):
+    """(Sg(s), the budget left) for a set s of elements: each round
+    applies every operation to all of S**arity, until nothing new appears
+    or S is the carrier. None once the rounds would visit more than
+    `budget` operation-table entries."""
+    k = alg.carrier_size
+    while len(s) < k:
+        budget -= sum(len(s) ** op.arity for op in alg.operations)
+        if budget < 0:
+            return None
+        grown = set(s)
+        for op in alg.operations:
+            indices = [0]
+            for _ in range(op.arity):
+                indices = [i * k + a for i in indices for a in s]
+            grown.update(map(op.table.__getitem__, indices))
+        if len(grown) == len(s):
+            break
+        s = grown
+    return frozenset(s), budget
 
 
 def _prefixes(tables, depth, k, known):
@@ -601,22 +617,160 @@ def _primal(alg, n, max_size):
         return False
 
 
+@lru_cache(maxsize=64)
 def _post_clones(t, r):
     """Whether the r-ary operation on {0, 1} with table t lies in each of
-    Post's five maximal clones: the functions that fix 0, those that fix
-    1, the self-dual, the monotone and the affine ones. Together they
-    read the table O(r) times. None depends on the order of the
-    arguments, so bit p of an entry's index stands for one argument."""
+    nine clones (Post 1941). First Post's five maximal clones: the
+    functions that fix 0, those that fix 1, the self-dual, the monotone
+    and the affine ones. Then the four that are, with the affine one,
+    the largest clones without the majority function: the
+    meet-homomorphisms, f(x & y) = f(x) & f(y), which are the meets of
+    some arguments and the constant 0; the join-homomorphisms, dually;
+    T0^3, where any three tuples f maps to 0 share an argument that is 0
+    in all three; and T1^3, dually. Together they read the table O(r)
+    times. None depends on the order of the arguments, so bit p of an
+    entry's index stands for one argument. Cached, so that `_primal` and
+    `_majority` read an algebra's tables once between them."""
     affine = [t[0]]  # the affine function that agrees with t at 0 and at each unit
     for p in range(r):
         affine += [v ^ t[1 << p] ^ t[0] for v in affine]
+    entries = range(len(t))
+    full = len(t) - 1
+    # the arguments of the one meet, and of the one join, that t can be
+    meet = sum(1 << p for p in range(r) if not t[full ^ 1 << p])
+    join = sum(1 << p for p in range(r) if t[1 << p])
     return (
         t[0] == 0,
         t[-1] == 1,
-        all(t[i] != t[-1 - i] for i in range(len(t))),
-        all(t[i] <= t[i | 1 << p] for p in range(r) for i in range(len(t))),
+        all(t[i] != t[-1 - i] for i in entries),
+        all(t[i] <= t[i | 1 << p] for p in range(r) for i in entries),
         affine == list(t),
+        all(t[i] == (t[full] and i & meet == meet) for i in entries),
+        all(t[i] == (t[0] or i & join != 0) for i in entries),
+        _meet_in_threes([full ^ i for i in entries if not t[i]], r),
+        _meet_in_threes([i for i in entries if t[i]], r),
     )
+
+
+def _meet_in_threes(sets, r):
+    """Whether every three of these subsets of r points, repeats allowed,
+    have a point in common, in r + 2 passes over the 2**r subsets: with
+    g[m] the number of sets that contain m, g[m]**3 counts the triples
+    whose common part contains m, and by inclusion and exclusion the sum
+    of (-1)**|m| * g[m]**3 counts those with nothing in common."""
+    g = [0] * (1 << r)
+    for s in sets:
+        g[s] += 1
+    for p in range(r):
+        bit = 1 << p
+        for m in range(1 << r):
+            if not m & bit:
+                g[m] += g[m | bit]
+    return not sum((-1) ** m.bit_count() * c**3 for m, c in enumerate(g))
+
+
+def _majority(alg, budget):
+    """The budget left once a certificate shows that the algebra has a
+    majority term, a ternary m with m(x, x, y) = m(x, y, x) = m(y, x, x)
+    = x; None when it shows none within `budget` table reads.
+
+    k = 2: the clone holds the majority function exactly when, for each
+    of the five largest clones without it (`_post_clones`), some basic
+    operation lies outside it. Their passes read each table at most
+    3r + 12 times.
+    k >= 3: some basic operation is itself a majority operation. No
+    arity-3 closure runs, so other algebras with a majority term fail.
+    """
+    k, ops = alg.carrier_size, alg.operations
+    if k == 2:
+        budget -= sum((3 * op.arity + 12) * len(op.table) for op in ops)
+        if budget < 0:
+            return None
+        rows = [_post_clones(op.table, op.arity) for op in ops]
+        found = not any(all(row[c] for row in rows) for c in range(4, 9))
+    else:
+        tables = [op.table for op in ops if op.arity == 3]
+        budget -= 3 * k * k * len(tables)
+        found = budget >= 0 and any(
+            all(
+                t[(x * k + x) * k + y] == t[(x * k + y) * k + x] == t[(y * k + x) * k + x] == x
+                for x in range(k)
+                for y in range(k)
+            )
+            for t in tables
+        )
+    return budget if found else None
+
+
+def _baker_pixley(alg, n):
+    """The n-ary clone as a bitset over all k**(k**n) functions, bit t
+    standing for the t-th in `_all_tables` order, when `_majority`
+    certifies a majority term. None for k < 2 or n < 1, or once the
+    filter, charged k**(k**n) x k**n, and then the certificate, the square
+    and its subuniverses exceed WORK_BUDGET.
+
+    With a majority term, an n-ary f is a term operation exactly when,
+    for all points a and b of A**n, (f(a), f(b)) lies in the subuniverse
+    of A**2 that the pairs (a_p, b_p) generate (Baker and Pixley 1975).
+    `_generated` closes each set of pairs once, in the square, whose
+    element x*k + y is the pair (x, y). For each entry and value a bitset
+    marks the functions that take the value there. The i-th and j-th
+    points, i < j, keep the OR over (x, y) in their subuniverse of the
+    AND of entry i's bitset for x and entry j's for y; the clone is the
+    AND of all these. The pairs with i = j add nothing: the first
+    coordinates of the pairs in Sg{(a_p, b_p)} are Sg{a_p}, so every
+    point's pairs with the others already keep f(a) in Sg{a_p}.
+    """
+    k = alg.carrier_size
+    size = k**n
+    # from this size on k**size * size exceeds the budget for every k >= 2
+    if k < 2 or n < 1 or size >= algebra.WORK_BUDGET.bit_length():
+        return None
+    count = k**size
+    budget = _majority(alg, algebra.WORK_BUDGET - count * size)
+    if budget is None:
+        return None
+    budget -= sum(len(op.table) ** 2 for op in alg.operations)
+    if budget < 0:
+        return None
+    square = direct_power(alg, 2, algebra.WORK_BUDGET)
+    # the function t takes the value (t // run) % k at the entry whose run
+    # is k**(size - 1 - i): its bitset for v is a run of ones at v * run
+    # in each period of k runs, whose starts are doubled up to the top
+    column = []
+    for i in range(size):
+        run = k ** (size - 1 - i)
+        starts, width = 1, k * run
+        while width < count:
+            starts |= starts << width
+            width *= 2
+        starts &= (1 << count) - 1
+        column.append([((1 << run) - 1) * starts << v * run for v in range(k)])
+    points = list(product(range(k), repeat=n))
+    chosen = (1 << count) - 1
+    closed: dict[frozenset, frozenset] = {}
+    for i, a in enumerate(points):
+        for j in range(i + 1, size):
+            pairs = frozenset(x * k + y for x, y in zip(a, points[j]))
+            if pairs not in closed:
+                found = _generated(square, pairs, budget)
+                if found is None:
+                    return None
+                closed[pairs], budget = found
+            left, right = column[i], column[j]
+            chosen &= reduce(or_, [left[e // k] & right[e % k] for e in closed[pairs]])
+    return chosen
+
+
+def _chosen_tables(k, size, width, chosen):
+    """Lane bytes of the functions whose bits are set in `chosen`, joined
+    in `_all_tables` order: the offsets of their tables there, picked at
+    C speed by the binary digits, lowest first, as bytes 0 and 1, then
+    one slice each."""
+    tables = _all_tables(k, size, width)
+    step = size * width
+    digits = bin(chosen)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return b"".join([tables[i : i + step] for i in compress(range(0, len(tables), step), digits)])
 
 
 def _all_tables(k, size, width):

@@ -14,9 +14,9 @@ polynomial. `parse` and `print_term` round-trip: parse(print_term(t)) == t.
 `parse` reads the text in one scan. Three replaces and a split, all in C,
 cut it into words, and one loop walks the words with an explicit stack of
 open applications, building the nodes without their checks, which the
-scan has made. Parsing, `variables` and `max_variable` never recurse, so
-a term of any depth parses; printing and tabulation recurse once per
-level. The first error, with its message and position, is the one a
+scan has made. Parsing, printing, `variables` and `max_variable` never
+recurse, so a term of any depth parses and prints; tabulation recurses
+once per level. The first error, with its message and position, is the one a
 left-to-right recursive descent over the grammar meets; positions are
 worked out only when there is an error.
 """
@@ -226,13 +226,27 @@ def _term_error(text: str, words: list, i: int, sig, inside: bool):
 
 
 def print_term(term: Term) -> str:
-    """Canonical text for an AST; inverse of `parse`."""
-    if isinstance(term, Variable):
-        return f"x{term.index}"
-    if isinstance(term, Constant):
-        return f"#{term.value}"
-    args = ",".join(print_term(c) for c in term.children)
-    return f"{term.symbol}({args})"
+    """Canonical text for an AST; inverse of `parse`. The nodes, and the
+    commas and closing parentheses still to write, wait on an explicit
+    stack, so that a term of any depth prints."""
+    out, stack = [], [term]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+        elif isinstance(node, Variable):
+            out.append(f"x{node.index}")
+        elif isinstance(node, Constant):
+            out.append(f"#{node.value}")
+        else:
+            out.append(f"{node.symbol}(")
+            children = node.children
+            stack.append(")")
+            for c in children[:0:-1]:
+                stack += (c, ",")
+            if children:
+                stack.append(children[0])
+    return "".join(out)
 
 
 def variables(term: Term) -> frozenset[int]:

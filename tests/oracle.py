@@ -252,6 +252,47 @@ def brute_pol_count(alg, n):
     )
 
 
+def brute_square_subuniverse(alg, pairs):
+    """The subuniverse of A**2 that a set of pairs generates: every
+    operation applied coordinatewise to every tuple of known pairs,
+    round after round, until no pair is new."""
+    ops = ops_of(alg)
+    closed = set(pairs)
+    while True:
+        new = set()
+        for op in alg.operations:
+            fn = ops[op.symbol]
+            for args in product(sorted(closed), repeat=op.arity):
+                new.add((fn(*(p[0] for p in args)), fn(*(p[1] for p in args))))
+        if new <= closed:
+            return closed
+        closed |= new
+
+
+def brute_bp_members(alg, n, tables):
+    """For each n-ary table, whether it preserves every subuniverse of
+    A**2 generated by pairs: for all points a, b of A**n, (f(a), f(b))
+    lies in the subuniverse the pairs (a_i, b_i) generate. When A has a
+    majority term these are exactly its term operations (Baker and
+    Pixley 1975). One plain loop per table over every pair of points;
+    the subuniverses are closed once per set of pairs."""
+    k = alg.carrier_size
+    points = list(product(range(k), repeat=n))
+    closed = {}
+
+    def member(table):
+        for a in points:
+            for b in points:
+                pairs = frozenset(zip(a, b))
+                if pairs not in closed:
+                    closed[pairs] = brute_square_subuniverse(alg, pairs)
+                if (table[idx(a, k)], table[idx(b, k)]) not in closed[pairs]:
+                    return False
+        return True
+
+    return [member(table) for table in tables]
+
+
 # ---------------------------------------------------------------------------
 # the reference parser: the recursive-descent parser termalg.terms.parse
 # replaced, kept to judge it

@@ -122,17 +122,26 @@ class TestEval:
             # the cp cases keep their ids from before eval and subterm joined
             pytest.param(command, depth, id=f"{command}-{depth}".removeprefix("cp-"))
             for command in ("cp", "eval", "subterm")
-            for depth in (400, 3000, 100_000)
+            for depth in (3000, 100_000)
         ],
     )
     def test_deep_nesting_is_domain_error(self, capsys, bu_path, command, depth):
-        # parsing does not recurse, but printing and tabulating do
+        # parsing and printing do not recurse, but tabulating does
         term = "neg(" * depth + "x1" + ")" * depth
         terms = [term, term] if command == "subterm" else [term]
         code, out, err = run(capsys, command, bu_path, *terms)
         assert code == 1
         assert out == ""
         assert err == "error: term nested too deeply for the recursion limit\n"
+
+    @pytest.mark.parametrize("command", ["cp", "eval", "subterm"])
+    def test_nesting_that_tabulates_prints(self, capsys, bu_path, command):
+        # 400 levels tabulate; printing them recursed too deeply before
+        term = "neg(" * 400 + "x1" + ")" * 400
+        terms = [term, term] if command == "subterm" else [term]
+        code, out, err = run(capsys, command, bu_path, *terms)
+        assert (code, err) == (0, "")
+        assert term in out
 
     @pytest.mark.parametrize("command", ["eval", "subterm"])
     def test_deep_term_below_its_arity_is_a_usage_error(self, capsys, bu_path, command):

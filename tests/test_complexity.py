@@ -625,9 +625,11 @@ def _random_algebra(rng, k, arities, keep=()):
 
 
 def _closure_route(monkeypatch):
-    """Treat no algebra as primal: the census takes the closure, and
-    `clone_level` does not refuse a primal clone before closing."""
+    """Treat no algebra as primal or as having a majority term: the census
+    takes the closure, and `clone_level` does not refuse a clone of known
+    size before closing."""
     monkeypatch.setattr(complexity, "_primal", lambda alg, n, max_size: False)
+    monkeypatch.setattr(complexity, "_baker_pixley", lambda alg, n: None)
 
 
 def _census_or_error(alg, n, **kwargs):
@@ -661,6 +663,8 @@ class TestSubuniverseBound:
         assert [bound(sl, n) for n in range(3)] == [0, 1, 4]
 
     def test_boolean_ring_stops_at_the_bound(self, br, monkeypatch):
+        # with no Baker-Pixley size, the bound is the only stop
+        monkeypatch.setattr(complexity, "_baker_pixley", lambda alg, n: None)
         composed = []
         lookup = kernels.lookup
 
@@ -1203,6 +1207,200 @@ class TestPrimalCensus:
     def test_mod3_at_the_budget_boundary(self, mod3, monkeypatch):
         monkeypatch.setattr(algebra, "WORK_BUDGET", 531441)
         assert algebra_n_complexity(mod3, 2, max_size=19683).total == 124608
+
+
+MAJ = (0, 0, 0, 1, 0, 1, 1, 1)  # the majority function on {0, 1}
+
+
+def _lattice2():
+    return FiniteAlgebra(
+        "lattice2", 2, (Operation("min", 2, (0, 0, 0, 1)), Operation("max", 2, (0, 1, 1, 1)))
+    )
+
+
+def _selfdual2():
+    """The majority function and negation: the self-dual clone (Post 1941)."""
+    return FiniteAlgebra("selfdual2", 2, (Operation("maj", 3, MAJ), Operation("neg", 1, (1, 0))))
+
+
+# a majority term of each algebra, with its variables as {0}, {1}, {2}
+RING_MAJORITY = "+(+(*({0},{1}),*({1},{2})),*({0},{2}))"
+LATTICE_MAJORITY = "max(max(min({0},{1}),min({1},{2})),min({0},{2}))"
+MAJORITY_TERMS = {
+    "bool2": (catalog.bool2, RING_MAJORITY),
+    "boolean_ring": (catalog.boolean_ring, RING_MAJORITY),
+    "lattice2": (_lattice2, LATTICE_MAJORITY),
+    "selfdual2": (_selfdual2, "maj({0},{1},{2})"),
+    "chain3": (catalog.chain3, LATTICE_MAJORITY),
+    "mod3": (catalog.mod3, LATTICE_MAJORITY),
+}
+
+
+TWO_ELEMENT = ("bool2", "boolean_ring", "lattice2", "selfdual2")
+
+
+def _route_tables(alg, n):
+    """The value tuples of the members that `_known` builds."""
+    size, width, build = complexity._known(alg, n, complexity.CLONE_BUDGET)
+    blob = bytes(build())
+    step = len(blob) // size
+    k = alg.carrier_size
+    chunks = [blob[i : i + step] for i in range(0, len(blob), step)]
+    return [FunctionTable._from_lanes(n, k, chunk).values for chunk in chunks]
+
+
+def _two_element_family():
+    """Two-element algebras of the certificate sweep: every operation of
+    arity <= 3 alone, every unary+binary and binary+binary pair, and the
+    arity-4 threshold operations alone and with a meet or a join."""
+    tables = {r: list(product((0, 1), repeat=2**r)) for r in (1, 2, 3)}
+    family = [(Operation("f", r, t),) for r in (1, 2, 3) for t in tables[r]]
+    family += [(Operation("u", 1, u), Operation("b", 2, b)) for u in tables[1] for b in tables[2]]
+    family += [(Operation("b", 2, b), Operation("c", 2, c)) for b in tables[2] for c in tables[2]]
+    for least in range(1, 5):
+        t = Operation("t", 4, tuple(int(sum(a) >= least) for a in product((0, 1), repeat=4)))
+        family += [(t,)] + [(t, Operation("b", 2, b)) for b in ((0, 0, 0, 1), (0, 1, 1, 1))]
+    return family
+
+
+class TestBakerPixley:
+    @pytest.mark.parametrize("name", MAJORITY_TERMS)
+    def test_majority_terms(self, name):
+        make, template = MAJORITY_TERMS[name]
+        alg = make()
+        for args in (("x1", "x1", "x2"), ("x1", "x2", "x1"), ("x2", "x1", "x1")):
+            assert satisfies_identity(alg, parse(template.format(*args), alg), parse("x1", alg), 2)
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, n) for name in TWO_ELEMENT for n in (1, 2, 3)]
+        + [("chain3", 1), ("chain3", 2)],
+    )
+    def test_route_tables_are_the_oracle_members(self, name, n):
+        # every table of the closure-free routes, against every function
+        # the oracle's Baker-Pixley loop accepts
+        alg = MAJORITY_TERMS[name][0]()
+        every = list(oracle.all_tables(alg.carrier_size, n))
+        verdicts = oracle.brute_bp_members(alg, n, every)
+        tables = _route_tables(alg, n)
+        assert sorted(tables) == [t for t, member in zip(every, verdicts) if member]
+        assert len(set(tables)) == len(tables)
+
+    def test_filter_serves_the_non_primal_algebras(self, br):
+        bp = complexity._baker_pixley
+        assert [bp(br, n).bit_count() for n in range(1, 5)] == [2, 8, 128, 32768]
+        # the self-dual functions (Post 1941)
+        assert [bp(_selfdual2(), n).bit_count() for n in range(1, 5)] == [2, 4, 16, 256]
+        # no filter at n = 0 or past the budget, and none without a certificate
+        assert bp(br, 0) is None and bp(br, 5) is None
+        assert bp(catalog.two_element_semilattice(), 2) is None
+        assert bp(catalog.mod3(), 1) is None
+        assert clone_size(br, 4) == 32768
+
+    def test_boolean_ring_sample_at_arity_4(self, br):
+        tables = _route_tables(br, 4)
+        chosen = set(tables)
+        rng = random.Random(4)
+        members = rng.sample(tables, 48)
+        drawn = (tuple(rng.choices((0, 1), k=16)) for _ in range(200))
+        others = [t for t in drawn if t not in chosen]
+        assert len(others) >= 48
+        assert oracle.brute_bp_members(br, 4, members) == [True] * len(members)
+        assert oracle.brute_bp_members(br, 4, others) == [False] * len(others)
+
+    @pytest.mark.parametrize("name", ["boolean_ring", "selfdual2"])
+    def test_one_entry_changed(self, name):
+        alg = MAJORITY_TERMS[name][0]()
+        tables = _route_tables(alg, 3)
+        members = set(tables)
+        changed = [t[:i] + (1 - t[i],) + t[i + 1 :] for t in tables for i in range(8)]
+        verdicts = oracle.brute_bp_members(alg, 3, changed)
+        assert verdicts == [t in members for t in changed]
+        # boolean_ring's 128 members fix 0, and fail with entry 0 changed;
+        # each change of selfdual2's 16 members fails
+        assert verdicts.count(False) == 128
+
+    def test_certificate_sample_against_the_closure(self, monkeypatch):
+        # a seeded sample of the sweep: the certificate holds exactly when
+        # the closure's ternary clone holds the majority function; where
+        # it holds, the filter's tables are the closure's at n <= 3
+        bp = complexity._baker_pixley
+        monkeypatch.setattr(complexity, "_baker_pixley", lambda alg, n: None)
+        rng = random.Random(2026)
+        # the majority function, which is in T0^2 and T1^2 but not in
+        # T0^3 or T1^3; the minority function, which is affine; x | y & z
+        # and x & (y | z), in T0^3 and T1^3; "at least 2 of 4", in T0^3
+        # but not in T0^4, and its dual
+        named = [
+            MAJ,
+            (0, 1, 1, 0, 1, 0, 0, 1),
+            (0, 0, 0, 1, 1, 1, 1, 1),
+            (0, 0, 0, 0, 0, 1, 1, 1),
+            tuple(int(sum(a) >= 2) for a in product((0, 1), repeat=4)),
+            tuple(int(sum(a) >= 3) for a in product((0, 1), repeat=4)),
+        ]
+        family = [(Operation("f", len(t).bit_length() - 1, t),) for t in named]
+        family += rng.sample(_two_element_family(), 80)
+        family += [(Operation("f", 3, tuple(rng.choices((0, 1), k=8))),) for _ in range(20)]
+        seen = Counter()
+        for ops in family:
+            alg = FiniteAlgebra("sweep", 2, ops)
+            has = MAJ in {m.values for m in clone_level(alg, 3).members}
+            assert (complexity._majority(alg, algebra.WORK_BUDGET) is not None) == has, ops
+            seen[has] += 1
+            if has:
+                for n in (1, 2, 3):
+                    filtered = complexity._chosen_tables(2, 2**n, 1, bp(alg, n))
+                    assert {filtered[i : i + 2**n] for i in range(0, len(filtered), 2**n)} == set(
+                        clone_level(alg, n).tables
+                    )
+        assert seen[True] >= 20 and seen[False] >= 20
+
+    def test_certificate_charges_the_budget(self, br, monkeypatch):
+        # the certificate is charged (3 * 2 + 12) * 4 reads per binary table
+        assert complexity._majority(br, 143) is None
+        assert complexity._majority(br, 144) == 0
+        # boolean_ring's filter at n = 3 is charged 2**8 x 2**3 = 2048 and
+        # then the certificate: past that, the closure gives the size
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 2048 + 143)
+        assert complexity._baker_pixley(br, 3) is None
+        assert clone_size(br, 3) == 128
+
+    def test_three_element_certificate(self):
+        m = [0] * 27
+        for x, y, z in product(range(3), repeat=3):
+            m[(x * 3 + y) * 3 + z] = x if x in (y, z) else y if y == z else 2
+        majority = FiniteAlgebra("majority3", 3, (Operation("m", 3, tuple(m)),))
+        assert complexity._majority(majority, 3 * 9) == 0
+        assert complexity._majority(majority, 3 * 9 - 1) is None
+        # one identity broken at one point: no certificate
+        for index in ((0 * 3 + 0) * 3 + 1, (0 * 3 + 1) * 3 + 0, (1 * 3 + 0) * 3 + 0):
+            broken = m[:index] + [2] + m[index + 1 :]
+            alg = FiniteAlgebra("broken", 3, (Operation("m", 3, tuple(broken)),))
+            assert complexity._majority(alg, algebra.WORK_BUDGET) is None
+        # mod3 and chain3 have majority terms but no majority operation
+        for alg in (catalog.mod3(), catalog.chain3()):
+            assert complexity._majority(alg, algebra.WORK_BUDGET) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_three_elements_with_a_majority_operation(self, data):
+        m = data.draw(st.lists(st.integers(0, 2), min_size=27, max_size=27))
+        for x in range(3):
+            for y in range(3):
+                m[(x * 3 + x) * 3 + y] = m[(x * 3 + y) * 3 + x] = m[(y * 3 + x) * 3 + x] = x
+        ops = [Operation("m", 3, tuple(m))]
+        r = data.draw(st.integers(0, 2))
+        if r:
+            table = data.draw(st.lists(st.integers(0, 2), min_size=3**r, max_size=3**r))
+            ops.append(Operation("g", r, tuple(table)))
+        alg = FiniteAlgebra("majority3", 3, tuple(ops))
+        assert complexity._baker_pixley(alg, 1) is not None
+        members, _ = oracle.brute_clone(alg, 1)
+        assert sorted(_route_tables(alg, 1)) == sorted(members)
+        size, total, hist = oracle.brute_census(alg, 1)
+        census = algebra_n_complexity(alg, 1)
+        assert (census.clone_size, census.total, dict(census.histogram)) == (size, total, hist)
 
 
 class TestInvariances:

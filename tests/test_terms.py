@@ -209,6 +209,14 @@ class TestPrint:
     def test_print_parse_canonicalizes(self):
         assert print_term(parse("  +( x1 ,#1 ) ", SIG)) == "+(x1,#1)"
 
+    def test_application_without_arguments(self):
+        assert print_term(Apply("f", ())) == "f()"
+        assert print_term(Apply("g", (Apply("f", ()), Variable(2)))) == "g(f(),x2)"
+
+    def test_deep_nesting_prints_without_recursion(self):
+        text = "+(" * 50_000 + "x1" + ",neg(#1))" * 50_000
+        assert print_term(parse(text, SIG)) == text
+
 
 class TestApplyEvaluation:
     def test_example(self):
