@@ -480,18 +480,16 @@ def direct_power(alg: FiniteAlgebra, m: int, max_entries: int = TABLE_BUDGET) ->
         # with no operation there is no table to build, and a one-element
         # algebra is its own power: its tables have one entry at any m
         return FiniteAlgebra(f"{alg.name}^{m}", big, alg.operations)
-    # coordinate j of each element of the power
-    digits = [[e // k ** (m - 1 - j) % k for e in range(big)] for j in range(m)]
+    codes = list(product(range(k), repeat=m))
     ops = []
     for op in alg.operations:
-        # per coordinate, the index into op.table of each argument tuple
-        # of the power, in the power's index order
-        indices = [[0]] * m
-        for _ in range(op.arity):
-            indices = [[i * k + d for i in col for d in row] for col, row in zip(indices, digits)]
-        values = [0] * len(indices[0])
-        for col in indices:
-            values = [v * k + op.table[i] for v, i in zip(values, col)]
+        values = []
+        for args in product(range(big), repeat=op.arity):
+            coords = [codes[a] for a in args]
+            out = tuple(
+                op.table[tuple_index([c[j] for c in coords], k)] for j in range(m)
+            )
+            values.append(tuple_index(out, k))
         ops.append(Operation(op.symbol, op.arity, tuple(values)))
     return FiniteAlgebra(f"{alg.name}^{m}", big, tuple(ops))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations, compress, product
 from math import comb
 from operator import or_
@@ -22,7 +22,6 @@ from ._record import record
 from .algebra import (
     FiniteAlgebra,
     FunctionTable,
-    direct_power,
     induced_operation,
     _check_cp3_work,
     _check_work,
@@ -445,22 +444,29 @@ def _subuniverse_bound(alg, n, lookups=None):
     return bound
 
 
-def _generated(alg, s, budget):
-    """(Sg(s), the budget left) for a set s of elements: each round
-    applies every operation to all of S**arity, until nothing new appears
-    or S is the carrier. None once the rounds would visit more than
-    `budget` operation-table entries."""
+def _generated(alg, s, budget, m=1):
+    """(Sg(s), the budget left) for a set s of elements of A**m, each
+    element e standing for its m base-k digits, the first coordinate
+    most significant: each round applies every operation, coordinatewise,
+    to all of S**arity, until nothing new appears or S is all of A**m.
+    None once the rounds would visit more than `budget` operation-table
+    entries."""
     k = alg.carrier_size
-    while len(s) < k:
-        budget -= sum(len(s) ** op.arity for op in alg.operations)
+    while len(s) < k**m:
+        budget -= m * sum(len(s) ** op.arity for op in alg.operations)
         if budget < 0:
             return None
         grown = set(s)
+        digits = [[e // k ** (m - 1 - j) % k for e in s] for j in range(m)]
         for op in alg.operations:
-            indices = [0]
-            for _ in range(op.arity):
-                indices = [i * k + a for i in indices for a in s]
-            grown.update(map(op.table.__getitem__, indices))
+            # per coordinate, the table index of each argument tuple
+            cols = digits if op.arity else [[0]] * m
+            for _ in range(op.arity - 1):
+                cols = [[i * k + a for i in col for a in row] for col, row in zip(cols, digits)]
+            values = map(op.table.__getitem__, cols[0])
+            for col in cols[1:]:
+                values = [v * k + op.table[i] for v, i in zip(values, col)]
+            grown.update(values)
         if len(grown) == len(s):
             break
         s = grown
@@ -617,39 +623,51 @@ def _primal(alg, n, max_size):
         return False
 
 
-@lru_cache(maxsize=64)
 def _post_clones(t, r):
     """Whether the r-ary operation on {0, 1} with table t lies in each of
-    nine clones (Post 1941). First Post's five maximal clones: the
-    functions that fix 0, those that fix 1, the self-dual, the monotone
-    and the affine ones. Then the four that are, with the affine one,
-    the largest clones without the majority function: the
-    meet-homomorphisms, f(x & y) = f(x) & f(y), which are the meets of
-    some arguments and the constant 0; the join-homomorphisms, dually;
-    T0^3, where any three tuples f maps to 0 share an argument that is 0
-    in all three; and T1^3, dually. Together they read the table O(r)
-    times. None depends on the order of the arguments, so bit p of an
-    entry's index stands for one argument. Cached, so that `_primal` and
-    `_majority` read an algebra's tables once between them."""
-    affine = [t[0]]  # the affine function that agrees with t at 0 and at each unit
-    for p in range(r):
-        affine += [v ^ t[1 << p] ^ t[0] for v in affine]
+    Post's five maximal clones: the functions that fix 0, those that fix
+    1, the self-dual, the monotone and the affine ones. Together they
+    read the table O(r) times. None depends on the order of the
+    arguments, so bit p of an entry's index stands for one argument."""
+    return (
+        t[0] == 0,
+        t[-1] == 1,
+        all(t[i] != t[-1 - i] for i in range(len(t))),
+        all(t[i] <= t[i | 1 << p] for p in range(r) for i in range(len(t))),
+        _affine(t, r),
+    )
+
+
+def _majority_free(t, r):
+    """Whether the r-ary operation on {0, 1} with table t lies in each of
+    the five largest clones without the majority function (Post 1941):
+    the affine functions; the meet-homomorphisms, f(x & y) = f(x) &
+    f(y), which are the meets of some arguments and the constant 0; the
+    join-homomorphisms, dually; T0^3, where any three tuples f maps to 0
+    share an argument that is 0 in all three; and T1^3, dually. Together
+    they read the table at most 3r + 12 times, bit p of an entry's index
+    standing for one argument as in `_post_clones`."""
     entries = range(len(t))
     full = len(t) - 1
     # the arguments of the one meet, and of the one join, that t can be
     meet = sum(1 << p for p in range(r) if not t[full ^ 1 << p])
     join = sum(1 << p for p in range(r) if t[1 << p])
     return (
-        t[0] == 0,
-        t[-1] == 1,
-        all(t[i] != t[-1 - i] for i in entries),
-        all(t[i] <= t[i | 1 << p] for p in range(r) for i in entries),
-        affine == list(t),
+        _affine(t, r),
         all(t[i] == (t[full] and i & meet == meet) for i in entries),
         all(t[i] == (t[0] or i & join != 0) for i in entries),
         _meet_in_threes([full ^ i for i in entries if not t[i]], r),
         _meet_in_threes([i for i in entries if t[i]], r),
     )
+
+
+def _affine(t, r):
+    """Whether t equals the affine function that agrees with it at 0 and
+    at each unit."""
+    affine = [t[0]]
+    for p in range(r):
+        affine += [v ^ t[1 << p] ^ t[0] for v in affine]
+    return affine == list(t)
 
 
 def _meet_in_threes(sets, r):
@@ -675,9 +693,8 @@ def _majority(alg, budget):
     = x; None when it shows none within `budget` table reads.
 
     k = 2: the clone holds the majority function exactly when, for each
-    of the five largest clones without it (`_post_clones`), some basic
-    operation lies outside it. Their passes read each table at most
-    3r + 12 times.
+    of the five largest clones without it (`_majority_free`), some basic
+    operation lies outside it.
     k >= 3: some basic operation is itself a majority operation. No
     arity-3 closure runs, so other algebras with a majority term fail.
     """
@@ -686,8 +703,8 @@ def _majority(alg, budget):
         budget -= sum((3 * op.arity + 12) * len(op.table) for op in ops)
         if budget < 0:
             return None
-        rows = [_post_clones(op.table, op.arity) for op in ops]
-        found = not any(all(row[c] for row in rows) for c in range(4, 9))
+        rows = [_majority_free(op.table, op.arity) for op in ops]
+        found = not any(all(row[c] for row in rows) for c in range(5))
     else:
         tables = [op.table for op in ops if op.arity == 3]
         budget -= 3 * k * k * len(tables)
@@ -705,47 +722,50 @@ def _majority(alg, budget):
 def _baker_pixley(alg, n):
     """The n-ary clone as a bitset over all k**(k**n) functions, bit t
     standing for the t-th in `_all_tables` order, when `_majority`
-    certifies a majority term. None for k < 2 or n < 1, or once the
-    filter, charged k**(k**n) x k**n, and then the certificate, the square
-    and its subuniverses exceed WORK_BUDGET.
+    certifies a majority term. None for n < 1 or k other than 2 and 3;
+    when a table of A**2, k**(2 * arity) entries, would exceed
+    TABLE_BUDGET; or once the filter, charged k**(k**n) x k**n, and then
+    the certificate and the subuniverses exceed WORK_BUDGET. That leaves
+    k = 2 at n <= 4 and k = 3 at n <= 2. From k = 4 on the route could
+    only run at n = 1, filtering up to 7**7 functions where the closure
+    of a small unary clone meets a few, so that is left to the closure.
 
     With a majority term, an n-ary f is a term operation exactly when,
     for all points a and b of A**n, (f(a), f(b)) lies in the subuniverse
     of A**2 that the pairs (a_p, b_p) generate (Baker and Pixley 1975).
-    `_generated` closes each set of pairs once, in the square, whose
-    element x*k + y is the pair (x, y). For each entry and value a bitset
-    marks the functions that take the value there. The i-th and j-th
-    points, i < j, keep the OR over (x, y) in their subuniverse of the
-    AND of entry i's bitset for x and entry j's for y; the clone is the
-    AND of all these. The pairs with i = j add nothing: the first
+    `_generated` closes each set of pairs once, in A**2, whose element
+    x*k + y is the pair (x, y); a round's index lists, |S|**arity long,
+    are shorter than the tables of A**2. For each entry and value a
+    bitset marks the functions that take the value there. The i-th and
+    j-th points, i < j, keep the OR over (x, y) in their subuniverse of
+    the AND of entry i's bitset for x and entry j's for y; the clone is
+    the AND of all these. The pairs with i = j add nothing: the first
     coordinates of the pairs in Sg{(a_p, b_p)} are Sg{a_p}, so every
     point's pairs with the others already keep f(a) in Sg{a_p}.
     """
     k = alg.carrier_size
     size = k**n
     # from this size on k**size * size exceeds the budget for every k >= 2
-    if k < 2 or n < 1 or size >= algebra.WORK_BUDGET.bit_length():
+    if k not in (2, 3) or n < 1 or size >= algebra.WORK_BUDGET.bit_length():
+        return None
+    if any(len(op.table) ** 2 > algebra.TABLE_BUDGET for op in alg.operations):
         return None
     count = k**size
     budget = _majority(alg, algebra.WORK_BUDGET - count * size)
     if budget is None:
         return None
-    budget -= sum(len(op.table) ** 2 for op in alg.operations)
-    if budget < 0:
-        return None
-    square = direct_power(alg, 2, algebra.WORK_BUDGET)
     # the function t takes the value (t // run) % k at the entry whose run
     # is k**(size - 1 - i): its bitset for v is a run of ones at v * run
-    # in each period of k runs, whose starts are doubled up to the top
+    # in each period of k runs, the runs doubled up to the top
     column = []
     for i in range(size):
         run = k ** (size - 1 - i)
-        starts, width = 1, k * run
+        ones, width = (1 << run) - 1, k * run
         while width < count:
-            starts |= starts << width
+            ones |= ones << width
             width *= 2
-        starts &= (1 << count) - 1
-        column.append([((1 << run) - 1) * starts << v * run for v in range(k)])
+        ones &= (1 << count) - 1
+        column.append([ones << v * run for v in range(k)])
     points = list(product(range(k), repeat=n))
     chosen = (1 << count) - 1
     closed: dict[frozenset, frozenset] = {}
@@ -753,24 +773,37 @@ def _baker_pixley(alg, n):
         for j in range(i + 1, size):
             pairs = frozenset(x * k + y for x, y in zip(a, points[j]))
             if pairs not in closed:
-                found = _generated(square, pairs, budget)
+                found = _generated(alg, pairs, budget, 2)
                 if found is None:
                     return None
                 closed[pairs], budget = found
-            left, right = column[i], column[j]
-            chosen &= reduce(or_, [left[e // k] & right[e % k] for e in closed[pairs]])
+            # all of A**2 keeps every function
+            if len(closed[pairs]) < k * k:
+                left, right = column[i], column[j]
+                chosen &= reduce(or_, [left[e // k] & right[e % k] for e in closed[pairs]])
     return chosen
 
 
 def _chosen_tables(k, size, width, chosen):
     """Lane bytes of the functions whose bits are set in `chosen`, joined
-    in `_all_tables` order: the offsets of their tables there, picked at
-    C speed by the binary digits, lowest first, as bytes 0 and 1, then
-    one slice each."""
+    in `_all_tables` order. Below one in 100 of the k**size functions,
+    each is written from the base-k digits of its index, found from the
+    binary digits of `chosen`, lowest first; written so, a table costs
+    about as much as 200 do in `_all_tables`. Otherwise their offsets in
+    `_all_tables` are picked at C speed by those digits, as bytes 0 and
+    1, then one slice each."""
+    digits = bin(chosen)[:1:-1]
+    if chosen.bit_count() * 100 < k**size:
+        tables = []
+        t = digits.find("1")
+        while t >= 0:
+            tables.append(kernels.pack([t // k ** (size - 1 - i) % k for i in range(size)], width))
+            t = digits.find("1", t + 1)
+        return b"".join(tables)
     tables = _all_tables(k, size, width)
     step = size * width
-    digits = bin(chosen)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
-    return b"".join([tables[i : i + step] for i in compress(range(0, len(tables), step), digits)])
+    flags = digits.encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return b"".join([tables[i : i + step] for i in compress(range(0, len(tables), step), flags)])
 
 
 def _all_tables(k, size, width):

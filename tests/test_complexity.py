@@ -1223,6 +1223,15 @@ def _selfdual2():
     return FiniteAlgebra("selfdual2", 2, (Operation("maj", 3, MAJ), Operation("neg", 1, (1, 0))))
 
 
+def _majority3():
+    """A majority operation on {0, 1, 2}, 2 where all three arguments
+    differ, and the negation 2 - x."""
+    m = [x if x in (y, z) else y if y == z else 2 for x, y, z in product(range(3), repeat=3)]
+    return FiniteAlgebra(
+        "majority3", 3, (Operation("m", 3, tuple(m)), Operation("neg", 1, (2, 1, 0)))
+    )
+
+
 # a majority term of each algebra, with its variables as {0}, {1}, {2}
 RING_MAJORITY = "+(+(*({0},{1}),*({1},{2})),*({0},{2}))"
 LATTICE_MAJORITY = "max(max(min({0},{1}),min({1},{2})),min({0},{2}))"
@@ -1233,6 +1242,7 @@ MAJORITY_TERMS = {
     "selfdual2": (_selfdual2, "maj({0},{1},{2})"),
     "chain3": (catalog.chain3, LATTICE_MAJORITY),
     "mod3": (catalog.mod3, LATTICE_MAJORITY),
+    "majority3": (_majority3, "m({0},{1},{2})"),
 }
 
 
@@ -1274,7 +1284,7 @@ class TestBakerPixley:
     @pytest.mark.parametrize(
         "name, n",
         [(name, n) for name in TWO_ELEMENT for n in (1, 2, 3)]
-        + [("chain3", 1), ("chain3", 2)],
+        + [("chain3", 1), ("chain3", 2), ("majority3", 1), ("majority3", 2)],
     )
     def test_route_tables_are_the_oracle_members(self, name, n):
         # every table of the closure-free routes, against every function
@@ -1296,6 +1306,69 @@ class TestBakerPixley:
         assert bp(catalog.two_element_semilattice(), 2) is None
         assert bp(catalog.mod3(), 1) is None
         assert clone_size(br, 4) == 32768
+
+    def test_high_arity_operation_declines_before_any_work(self, monkeypatch):
+        # with an arity-12 operation a table of A**2 would hold 4**12
+        # entries, past TABLE_BUDGET: the route declines before the
+        # certificate or any subuniverse, and the closure gives the size
+        wide = Operation("w", 12, tuple(random.Random(12).choices((0, 1), k=2**12)))
+        alg = FiniteAlgebra("wide", 2, (Operation("m", 3, MAJ), wide))
+        members, _ = oracle.brute_clone(alg, 1)
+
+        def fail(*args):
+            raise AssertionError("the route should decline first")
+
+        monkeypatch.setattr(complexity, "_majority", fail)
+        monkeypatch.setattr(complexity, "_generated", fail)
+        for n in range(1, 5):
+            assert complexity._baker_pixley(alg, n) is None
+        monkeypatch.undo()
+        assert clone_size(alg, 1) == len(members)
+
+    def test_widest_operation_that_fits_the_square(self, monkeypatch):
+        # at arity 9 a table of A**2 holds 4**9 <= TABLE_BUDGET entries;
+        # at arity 10, 4**10 > TABLE_BUDGET
+        rng = random.Random(9)
+        algs = {}
+        for arity, fits in ((10, False), (9, True)):
+            wide = Operation("w", arity, tuple(rng.choices((0, 1), k=2**arity)))
+            algs[arity] = FiniteAlgebra("wide", 2, (Operation("m", 3, MAJ), wide))
+            assert (complexity._baker_pixley(algs[arity], 2) is not None) == fits
+        routed = [set(_route_tables(algs[9], n)) for n in (1, 2)]
+        monkeypatch.setattr(complexity, "_baker_pixley", lambda alg, n: None)
+        assert routed == [{m.values for m in clone_level(algs[9], n).members} for n in (1, 2)]
+
+    def test_four_elements_are_left_to_the_closure(self):
+        # a majority operation on {0, 1, 2, 3}: 3 where all three differ
+        m = [x if x in (y, z) else y if y == z else 3 for x, y, z in product(range(4), repeat=3)]
+        alg = FiniteAlgebra("majority4", 4, (Operation("m", 3, tuple(m)),))
+        assert complexity._majority(alg, algebra.WORK_BUDGET) is not None
+        assert complexity._baker_pixley(alg, 1) is None
+        assert complexity._known(alg, 1, complexity.CLONE_BUDGET) is None
+        size, total, hist = oracle.brute_census(alg, 1)
+        census = algebra_n_complexity(alg, 1)
+        assert (census.clone_size, census.total, dict(census.histogram)) == (size, total, hist)
+
+    @pytest.mark.parametrize("k, size", [(2, 16), (3, 9), (2, 8)])
+    def test_chosen_tables_sparse_and_dense(self, k, size):
+        # below one in 100 functions the tables are written one by one;
+        # either way they are the chosen slices of _all_tables
+        count = k**size
+        every = bytes(complexity._all_tables(k, size, 1))
+        rng = random.Random(count)
+        for picks in (0, 1, 2, count // 128, count // 64, count // 2, count):
+            chosen = sum(1 << t for t in rng.sample(range(count), picks))
+            expected = b"".join(every[t * size : t * size + size] for t in range(count) if chosen >> t & 1)
+            assert bytes(complexity._chosen_tables(k, size, 1, chosen)) == expected
+
+    def test_majority_alone_at_arity_4(self, monkeypatch):
+        # twelve members of 65536: the tables are written one by one
+        maj = FiniteAlgebra("maj", 2, (Operation("m", 3, MAJ),))
+        routed = set(_route_tables(maj, 4))
+        monkeypatch.setattr(complexity, "_baker_pixley", lambda alg, n: None)
+        closed = clone_level(maj, 4)
+        assert len(routed) == closed.size == 12
+        assert routed == {m.values for m in closed.members}
 
     def test_boolean_ring_sample_at_arity_4(self, br):
         tables = _route_tables(br, 4)
