@@ -392,7 +392,8 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
     times the integer with 1 in every lane, and each application is one
     `kernels.compose`, which over {0, 1} applies the operation's
     algebraic normal form by ANDs and XORs. The lane bytes are written
-    once, at the root.
+    once, at the root. An application waits on an explicit stack, checked
+    when reached and composed after its last child, so nothing recurses.
     """
     k = alg.carrier_size
     if n < 0:
@@ -402,33 +403,43 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
     width = kernels.lane_width(k, [op.arity for op in alg.operations])
     ones = int.from_bytes(kernels.constant_lanes(1, size, width), "little")
     projections: dict[int, int] = {}
-
-    def tab(t: Term) -> int:
-        if isinstance(t, Variable):
+    stack = []  # open applications: (operation, children, lanes of those done)
+    t = term
+    while True:
+        if type(t) is Apply:
+            op = ops.get(t.symbol)
+            if op is None:
+                raise TermError(f"unknown operation symbol {t.symbol!r}")
+            children = t.children
+            if len(children) != op.arity:
+                raise TermError(f"{t.symbol!r} expects {op.arity} argument(s), got {len(children)}")
+            stack.append((op, children, []))
+            t = children[0]  # an operation has arity >= 1
+            continue
+        if type(t) is Variable:
             if t.index > n:
                 raise TermError(f"variable x{t.index} exceeds context arity {n}")
-            if t.index not in projections:
+            value = projections.get(t.index)
+            if value is None:
                 lanes = kernels.projection_lanes(t.index, n, k, width)
-                projections[t.index] = int.from_bytes(lanes, "little")
-            return projections[t.index]
-        if isinstance(t, Constant):
+                value = projections[t.index] = int.from_bytes(lanes, "little")
+        elif type(t) is Constant:
             if not 0 <= t.value < k:
                 raise TermError(f"constant #{t.value} outside carrier 0..{k - 1}")
-            return t.value * ones
-        if not isinstance(t, Apply):
+            value = t.value * ones
+        else:
             raise TermError(f"not a term node: {t!r}")
-        op = ops.get(t.symbol)
-        if op is None:
-            raise TermError(f"unknown operation symbol {t.symbol!r}")
-        if len(t.children) != op.arity:
-            raise TermError(
-                f"{t.symbol!r} expects {op.arity} argument(s), got {len(t.children)}"
-            )
-        args = [tab(c) for c in t.children]
-        return kernels.compose(op, args, k, width, size, ones)
-
-    lanes = tab(term).to_bytes(size * width, "little")
-    return FunctionTable._from_lanes(n, k, lanes)
+        while stack:  # the value completes applications up to one with children left
+            op, children, args = stack[-1]
+            args.append(value)
+            if len(args) < len(children):
+                t = children[len(args)]
+                break
+            stack.pop()
+            value = kernels.compose(op, args, k, width, size, ones)
+        else:
+            break
+    return FunctionTable._from_lanes(n, k, value.to_bytes(size * width, "little"))
 
 
 def restrict_table(table: FunctionTable, evaluation) -> FunctionTable:

@@ -54,9 +54,7 @@ def _load_terms(args, *names):
 
 def _emit(args, doc, human) -> None:
     """Print the JSON document with --json, else the human text. Both are
-    functions, so that only the printed form is built. The commands print
-    their terms beforehand either way, so that a term too deeply nested
-    to print fails in both forms alike."""
+    functions, so that only the printed form is built."""
     print(_dumps(doc()) if args.json else human())
 
 
@@ -455,10 +453,6 @@ def main(argv=None) -> int:
         return 2
     except (TermAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        # tabulating, cp1 and cp2 recurse once per nesting level
-        print("error: term nested too deeply for the recursion limit", file=sys.stderr)
         return 1
 
 

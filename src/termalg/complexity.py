@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .errors import BudgetError
 from .semantics import _check_subset, _context
-from .terms import Apply, Constant, Term, Variable
+from .terms import Apply, Term, Variable, nodes
 
 CLONE_BUDGET = 1_000_000
 
@@ -52,18 +52,12 @@ __all__ = [
 
 def cp1(term: Term) -> int:
     """Number of variable occurrences."""
-    if isinstance(term, Variable):
-        return 1
-    if isinstance(term, Constant):
-        return 0
-    return sum(cp1(c) for c in term.children)
+    return [*map(type, nodes(term))].count(Variable)
 
 
 def cp2(term: Term) -> int:
     """Number of operation symbols; constants count like variables: zero."""
-    if isinstance(term, (Variable, Constant)):
-        return 0
-    return 1 + sum(cp2(c) for c in term.children)
+    return [*map(type, nodes(term))].count(Apply)
 
 
 @record
@@ -601,9 +595,10 @@ def _primal(alg, n, max_size):
     n = 1 the closure of at most four members costs no more.
     k >= 3: the unary clone holds all k**k functions and some basic
     operation is onto and depends on at least two variables (Slupecki
-    1939), asked by `_known` from n = 2 on, where its unary closure is
-    smaller than the n-ary one it spares; if a budget stops that, the
-    certificate fails and the n-ary closure raises the budget's error.
+    1939), asked by `_known` from n = 2 on, where its unary closure (not
+    `clone_level`, which would ask `_known` again) is smaller than the
+    n-ary one it spares; if a budget stops that, the certificate fails
+    and the n-ary closure raises the budget's error.
     """
     k = alg.carrier_size
     if k == 2 and n >= 2:
@@ -617,8 +612,7 @@ def _primal(alg, n, max_size):
     ):
         return False
     try:
-        # at n = 1 `_known` asks no certificate
-        return clone_level(alg, 1, max_size).size == k**k
+        return _closure(alg, 1, max_size, _subuniverse_bound(alg, 1)).size == k**k
     except BudgetError:
         return False
 

@@ -14,11 +14,10 @@ polynomial. `parse` and `print_term` round-trip: parse(print_term(t)) == t.
 `parse` reads the text in one scan. Three replaces and a split, all in C,
 cut it into words, and one loop walks the words with an explicit stack of
 open applications, building the nodes without their checks, which the
-scan has made. Parsing, printing, `variables` and `max_variable` never
-recurse, so a term of any depth parses and prints; tabulation recurses
-once per level. The first error, with its message and position, is the one a
-left-to-right recursive descent over the grammar meets; positions are
-worked out only when there is an error.
+scan has made. The first error, with its message and position, is the
+one a left-to-right recursive descent over the grammar meets; positions
+are worked out only when there is an error. No term function recurses:
+each walks an explicit stack, so that a term of any depth is handled.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ __all__ = [
     "Term",
     "parse",
     "print_term",
+    "nodes",
     "variables",
     "max_variable",
     "is_polynomial",
@@ -249,36 +249,45 @@ def print_term(term: Term) -> str:
     return "".join(out)
 
 
+def nodes(term: Term) -> list:
+    """Every node of the term, level by level, read from a list as it grows."""
+    out = [term]
+    for node in out:
+        if type(node) is Apply:
+            out += node.children
+    return out
+
+
 def variables(term: Term) -> frozenset[int]:
     """Indices of the variables occurring in the term."""
-    return frozenset(_indices(term))
+    return frozenset([t.index for t in nodes(term) if type(t) is Variable])
 
 
 def max_variable(term: Term) -> int:
     """Largest variable index occurring in the term; 0 if none."""
-    return max(_indices(term), default=0)
-
-
-def _indices(term: Term) -> list[int]:
-    """The index of each Variable node of the term, walked with an
-    explicit stack, so that a term of any depth is walked."""
-    out, stack = [], [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Apply):
-            stack.extend(node.children)
-        elif isinstance(node, Variable):
-            out.append(node.index)
-    return out
+    return max([t.index for t in nodes(term) if type(t) is Variable], default=0)
 
 
 def is_polynomial(term: Term) -> bool:
     """True if the term contains a Constant node."""
-    if isinstance(term, Constant):
-        return True
-    if isinstance(term, Apply):
-        return any(is_polynomial(c) for c in term.children)
-    return False
+    return any(type(t) is Constant for t in nodes(term))
+
+
+def _rebuild(term: Term, leaf) -> Term:
+    """The term with each leaf replaced by leaf(node), the leaves met left
+    to right, so that `leaf` raises the leftmost error. An application
+    waits on the stack as a one-tuple until its children are rebuilt."""
+    done, stack = [], [term]
+    while stack:
+        node = stack.pop()
+        if type(node) is Apply:
+            stack += [(node,), *node.children[::-1]]
+        elif type(node) is tuple:
+            at = len(done) - len(node[0].children)
+            done[at:] = [Apply(node[0].symbol, tuple(done[at:]))]
+        else:
+            done.append(leaf(node))
+    return done[0]
 
 
 def apply_evaluation(term: Term, evaluation) -> Term:
@@ -289,17 +298,13 @@ def apply_evaluation(term: Term, evaluation) -> Term:
     variable set is variables(term) minus the assigned keys.
     """
     assigned = getattr(evaluation, "assigned", evaluation)
-    return _substitute(term, assigned)
 
+    def leaf(t: Term) -> Term:
+        if type(t) is Variable and t.index in assigned:
+            return Constant(assigned[t.index])
+        return t
 
-def _substitute(term: Term, assigned: Mapping[int, int]) -> Term:
-    if isinstance(term, Variable):
-        if term.index in assigned:
-            return Constant(assigned[term.index])
-        return term
-    if isinstance(term, Constant):
-        return term
-    return Apply(term.symbol, tuple(_substitute(c, assigned) for c in term.children))
+    return _rebuild(term, leaf)
 
 
 def _as_permutation(sigma) -> dict[int, int]:
@@ -320,16 +325,14 @@ def rename_variables(term: Term, sigma) -> Term:
     """
     mapping = _as_permutation(sigma)
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Variable):
-            if t.index not in mapping:
-                raise TermError(f"permutation does not cover x{t.index}")
-            return Variable(mapping[t.index])
-        if isinstance(t, Constant):
+    def leaf(t: Term) -> Term:
+        if type(t) is not Variable:
             return t
-        return Apply(t.symbol, tuple(go(c) for c in t.children))
+        if t.index not in mapping:
+            raise TermError(f"permutation does not cover x{t.index}")
+        return Variable(mapping[t.index])
 
-    return go(term)
+    return _rebuild(term, leaf)
 
 
 def map_constants(term: Term, g: Mapping[int, int]) -> Term:
@@ -343,13 +346,11 @@ def map_constants(term: Term, g: Mapping[int, int]) -> Term:
     relabelled by g, not the report of the substituted term.
     """
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Constant):
-            if t.value not in g:
-                raise TermError(f"constant map does not cover #{t.value}")
-            return Constant(g[t.value])
-        if isinstance(t, Variable):
+    def leaf(t: Term) -> Term:
+        if type(t) is not Constant:
             return t
-        return Apply(t.symbol, tuple(go(c) for c in t.children))
+        if t.value not in g:
+            raise TermError(f"constant map does not cover #{t.value}")
+        return Constant(g[t.value])
 
-    return go(term)
+    return _rebuild(term, leaf)

@@ -116,23 +116,47 @@ class TestEval:
         assert code == 1
         assert "expects 2" in err
 
+    # neg applied an even number of times is x1: the answers of each
+    # command, by the JSON field that holds them
+    _DEEP_ANSWERS = {
+        "cp": {"cp1": 1, "cp3": {"total": 1, "per_set": [{"vars": [1], "count": 1}]}},
+        "eval": {"values": [0, 1]},
+        "subterm": {"subterm": True},
+        "ess": {"essential": [1]},
+        "identity": {"satisfied": True},
+        "sep": {"separable_sets": [[1]]},
+        "sep-set": {"separable": True},
+    }
+
     @pytest.mark.parametrize(
         "command, depth",
         [
-            # the cp cases keep their ids from before eval and subterm joined
+            # the name and ids are kept from when these depths were a domain
+            # error; the cp cases keep their ids from before eval and subterm
+            # joined
             pytest.param(command, depth, id=f"{command}-{depth}".removeprefix("cp-"))
-            for command in ("cp", "eval", "subterm")
+            for command in _DEEP_ANSWERS
             for depth in (3000, 100_000)
         ],
     )
     def test_deep_nesting_is_domain_error(self, capsys, bu_path, command, depth):
-        # parsing and printing do not recurse, but tabulating does
+        # no term walk recurses, so every command answers at any depth
         term = "neg(" * depth + "x1" + ")" * depth
-        terms = [term, term] if command == "subterm" else [term]
-        code, out, err = run(capsys, command, bu_path, *terms)
-        assert code == 1
-        assert out == ""
-        assert err == "error: term nested too deeply for the recursion limit\n"
+        argv = {
+            "subterm": ["subterm", bu_path, term, "x1"],
+            "identity": ["identity", bu_path, term, "x1"],
+            "sep-set": ["sep", bu_path, term, "--set", "1"],
+        }.get(command, [command, bu_path, term])
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--json")
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc[next(iter(doc))] == term
+        if command == "cp":
+            assert doc["cp2"] == depth
+        for field, value in self._DEEP_ANSWERS[command].items():
+            assert doc[field] == value
 
     @pytest.mark.parametrize("command", ["cp", "eval", "subterm"])
     def test_nesting_that_tabulates_prints(self, capsys, bu_path, command):
@@ -960,3 +984,89 @@ class TestMixedCarrier:
         code, out, _ = run(capsys, "ess", str(path), "min(x1,succ(x2))", "--json")
         assert code == 0
         assert json.loads(out)["essential"] == [1, 2]
+
+
+# The term commands at the command-line boundary: terms from a small
+# grammar over bool2 and mod3, some mutated (nested 5,000 levels deep, an
+# unknown symbol, x0, a 5,000-digit number, cut short), with context
+# arities and index sets that are often out of range.
+_FUZZ_ALGEBRAS = {"bool2": catalog.bool2(), "mod3": catalog.mod3()}
+_FUZZ_COMMANDS = {"eval": 1, "ess": 1, "sep": 1, "subterm": 2, "identity": 2, "cp": 1}
+
+
+@st.composite
+def _fuzz_term(draw, alg):
+    sig = alg.signature()
+    leaf = st.one_of(
+        st.integers(1, 4).map("x{}".format),
+        st.integers(0, alg.carrier_size).map("#{}".format),  # the last is outside
+    )
+
+    def applications(sub):
+        return st.one_of(
+            st.lists(sub, min_size=r, max_size=r).map(lambda args, s=s: f"{s}({','.join(args)})")
+            for s, r in sig.items()
+        )
+
+    text = draw(st.recursive(leaf, applications, max_leaves=6))
+    unary = min(s for s, r in sig.items() if r == 1)
+    binary = min(s for s, r in sig.items() if r == 2)
+    mutation = draw(st.sampled_from(["none", "nest", "unknown", "x0", "digits", "cut"]))
+    if mutation == "nest":
+        depth = draw(st.sampled_from([2, 300, 5000]))
+        text = f"{unary}(" * depth + text + ")" * depth
+    elif mutation == "unknown":
+        text = f"zz({text})"
+    elif mutation == "x0":
+        text = f"{binary}({text},x0)"
+    elif mutation == "digits":
+        text = f"{binary}({text},{draw(st.sampled_from('x#'))}{'9' * 5000})"
+    elif mutation == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def _term_command(draw, paths):
+    name = draw(st.sampled_from(sorted(_FUZZ_ALGEBRAS)))
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    argv = [command, paths[name]]
+    argv += [draw(_fuzz_term(_FUZZ_ALGEBRAS[name])) for _ in range(_FUZZ_COMMANDS[command])]
+    if draw(st.booleans()):
+        arities = ["-7", "-1", "0", "1", "2", "3", "4", "5", "30", "1000000", "9" * 5000]
+        argv += ["--arity", draw(st.sampled_from(arities))]
+    if command == "sep" and draw(st.booleans()):
+        sets = ["1", "2", "1,2", "x1,x3", "4", "0", "1,1", "x0", "a", "", "x²", "9" * 5000]
+        argv += ["--set", draw(st.sampled_from(sets))]
+    if command == "cp" and draw(st.booleans()):
+        argv += ["--measures", draw(st.sampled_from(["1", "2,3", "3", "4", ""]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestTermCommandBoundary:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("algebras")
+        for name, alg in _FUZZ_ALGEBRAS.items():
+            dump_algebra(alg, folder / f"{name}.json")
+        return {name: str(folder / f"{name}.json") for name in _FUZZ_ALGEBRAS}
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_0_1_or_2(self, paths, data):
+        argv = data.draw(_term_command(paths))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 5
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert out and not err
+        elif code == 1:
+            assert not out
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert code == 2 and not out

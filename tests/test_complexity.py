@@ -1204,6 +1204,16 @@ class TestPrimalCensus:
             clone_level(br, 3, max_size=100)
         assert calls == [(br, 3, 100)]
 
+    def test_slupecki_certificate_asks_no_route_again(self, mod3, monkeypatch):
+        # the certificate closes the unary clone itself, so `_known` is
+        # asked once per clone question, never again from inside a route
+        calls = []
+        known = complexity._known
+        monkeypatch.setattr(complexity, "_known", lambda *a: calls.append(a[:2]) or known(*a))
+        assert clone_size(mod3, 2) == 3**9
+        assert algebra_n_complexity(mod3, 2).total == 124608
+        assert calls == [(mod3, 2), (mod3, 2)]
+
     def test_mod3_at_the_budget_boundary(self, mod3, monkeypatch):
         monkeypatch.setattr(algebra, "WORK_BUDGET", 531441)
         assert algebra_n_complexity(mod3, 2, max_size=19683).total == 124608

@@ -1,6 +1,7 @@
 """Concrete syntax, substitution, renaming, and constant remapping."""
 
 import random
+import re
 import time
 
 import pytest
@@ -14,6 +15,10 @@ from termalg import (
     TermError,
     Variable,
     apply_evaluation,
+    cp1,
+    cp2,
+    ess_via_lemma35,
+    induced_operation,
     map_constants,
     max_variable,
     parse,
@@ -21,6 +26,7 @@ from termalg import (
     rename_variables,
     variables,
 )
+from termalg.terms import is_polynomial, nodes
 
 import oracle
 from helpers import random_term
@@ -314,3 +320,72 @@ class TestQueries:
         t = parse("+(*(x1,x2),neg(x3))", bu)
         ops = oracle.ops_of(bu)
         assert oracle.eval_term(t, (1, 1, 1), ops) == 1
+
+
+class TestWalks:
+    """No walk of a term recurses: each answers on a term 100,000 levels
+    deep, and raises the first error a left-to-right recursion meets."""
+
+    # over bool2, +(a, #0) is a and *(x2, #0) is 0, so the deep term
+    # induces x1
+    DEPTH = 100_000
+    TEXT = "+(" * DEPTH + "+(x1,*(x2,#0))" + ",#0)" * DEPTH
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return parse(self.TEXT, SIG)
+
+    def test_counts(self, deep):
+        # deep terms are compared by their text: record equality recurses
+        assert len(nodes(deep)) == 2 * self.DEPTH + 5
+        assert (cp1(deep), cp2(deep)) == (2, self.DEPTH + 2)
+        assert is_polynomial(deep)
+        assert not is_polynomial(parse("+(" * self.DEPTH + "x1" + ",x2)" * self.DEPTH, SIG))
+
+    def test_substitutions(self, deep):
+        text = self.TEXT
+        assert print_term(apply_evaluation(deep, {1: 1})) == text.replace("x1", "#1")
+        swapped = text.replace("x1", "x3").replace("x2", "x1").replace("x3", "x2")
+        assert print_term(rename_variables(deep, {1: 2, 2: 1})) == swapped
+        assert print_term(map_constants(deep, {0: 1, 1: 0})) == text.replace("#0", "#1")
+
+    def test_tabulation(self, bu, deep):
+        assert induced_operation(deep, bu, 2).values == (0, 0, 1, 1)
+        assert ess_via_lemma35(deep, bu, 2, 1)
+        assert not ess_via_lemma35(deep, bu, 2, 2)
+
+    @given(term=bool2_terms(with_constants=True))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_are_those_of_the_text(self, term):
+        text = print_term(term)
+        assert len(nodes(term)) == text.count("x") + text.count("#") + text.count("(")
+        assert (cp1(term), cp2(term)) == (text.count("x"), text.count("("))
+        assert is_polynomial(term) == ("#" in text)
+
+    def test_application_without_arguments(self):
+        assert apply_evaluation(Apply("f", ()), {}) == Apply("f", ())
+        term = Apply("g", (Apply("f", ()), Variable(2)))
+        assert print_term(apply_evaluation(term, {2: 0})) == "g(f(),#0)"
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            # the application is checked before its children, the
+            # children left to right
+            (Apply("+", (Variable(5), Apply("zz", (Variable(1),)))), "variable x5 exceeds"),
+            (Apply("+", (Apply("zz", (Variable(1),)), Variable(5))), "unknown operation symbol 'zz'"),
+            (Apply("neg", (Variable(5), Variable(1))), "'neg' expects 1 argument"),
+            (Apply("+", (Constant(7), Apply("neg", (Variable(9),)))), "constant #7 outside"),
+            (Apply("+", (Variable(1), "junk")), "not a term node: 'junk'"),
+        ],
+    )
+    def test_tabulation_raises_the_first_error(self, bu, term, message):
+        with pytest.raises(TermError, match=f"^{re.escape(message)}"):
+            induced_operation(term, bu, 2)
+
+    def test_substitutions_raise_the_leftmost_error(self):
+        term = Apply("+", (Variable(4), Apply("neg", (Constant(5),)), Variable(3), Constant(6)))
+        with pytest.raises(TermError, match="cover x4$"):
+            rename_variables(term, {1: 2, 2: 1})
+        with pytest.raises(TermError, match="cover #5$"):
+            map_constants(term, {0: 0, 1: 1})
