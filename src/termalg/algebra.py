@@ -419,10 +419,10 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
         if type(t) is Variable:
             if t.index > n:
                 raise TermError(f"variable x{t.index} exceeds context arity {n}")
-            value = projections.get(t.index)
-            if value is None:
+            if t.index not in projections:
                 lanes = kernels.projection_lanes(t.index, n, k, width)
-                value = projections[t.index] = int.from_bytes(lanes, "little")
+                projections[t.index] = int.from_bytes(lanes, "little")
+            value = projections[t.index]
         elif type(t) is Constant:
             if not 0 <= t.value < k:
                 raise TermError(f"constant #{t.value} outside carrier 0..{k - 1}")

@@ -265,7 +265,7 @@ def variables(term: Term) -> frozenset[int]:
 
 def max_variable(term: Term) -> int:
     """Largest variable index occurring in the term; 0 if none."""
-    return max([t.index for t in nodes(term) if type(t) is Variable], default=0)
+    return max(variables(term), default=0)
 
 
 def is_polynomial(term: Term) -> bool:

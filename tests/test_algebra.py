@@ -392,6 +392,8 @@ class TestInducedOperation:
                 "constant #2 outside carrier 0..1",
             ),
             (Apply("*", (Variable(2), Apply("neg", (Apply("q", ()),)))), "unknown operation symbol 'q'"),
+            (Apply("+", (Variable(9), Apply("neg", (Apply("q", ()),)))), "variable x9 exceeds context arity 2"),
+            (Apply("+", (Variable(1), "x1")), "not a term node: 'x1'"),
         ],
     )
     def test_term_errors_in_walk_order(self, bu, term, message):

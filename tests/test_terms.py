@@ -1,7 +1,6 @@
 """Concrete syntax, substitution, renaming, and constant remapping."""
 
 import random
-import re
 import time
 
 import pytest
@@ -324,7 +323,7 @@ class TestQueries:
 
 class TestWalks:
     """No walk of a term recurses: each answers on a term 100,000 levels
-    deep, and raises the first error a left-to-right recursion meets."""
+    deep, and the substitutions raise the leftmost error."""
 
     # over bool2, +(a, #0) is a and *(x2, #0) is 0, so the deep term
     # induces x1
@@ -366,22 +365,6 @@ class TestWalks:
         assert apply_evaluation(Apply("f", ()), {}) == Apply("f", ())
         term = Apply("g", (Apply("f", ()), Variable(2)))
         assert print_term(apply_evaluation(term, {2: 0})) == "g(f(),#0)"
-
-    @pytest.mark.parametrize(
-        "term, message",
-        [
-            # the application is checked before its children, the
-            # children left to right
-            (Apply("+", (Variable(5), Apply("zz", (Variable(1),)))), "variable x5 exceeds"),
-            (Apply("+", (Apply("zz", (Variable(1),)), Variable(5))), "unknown operation symbol 'zz'"),
-            (Apply("neg", (Variable(5), Variable(1))), "'neg' expects 1 argument"),
-            (Apply("+", (Constant(7), Apply("neg", (Variable(9),)))), "constant #7 outside"),
-            (Apply("+", (Variable(1), "junk")), "not a term node: 'junk'"),
-        ],
-    )
-    def test_tabulation_raises_the_first_error(self, bu, term, message):
-        with pytest.raises(TermError, match=f"^{re.escape(message)}"):
-            induced_operation(term, bu, 2)
 
     def test_substitutions_raise_the_leftmost_error(self):
         term = Apply("+", (Variable(4), Apply("neg", (Constant(5),)), Variable(3), Constant(6)))
