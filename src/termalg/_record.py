@@ -12,12 +12,13 @@ def record(cls):
     """Make `cls` a frozen record of its annotated fields, in order.
 
     The record gets an __init__ taking the fields by position or keyword
-    and then calling __post_init__, if the class has one; a class that
-    defines its own __init__ keeps it. Records are equal when they are of
-    the same class and their fields are equal, and hash as the tuple of
-    their fields. The repr is Class(field=value, ...). Assigning or
-    deleting an attribute raises AttributeError; the fields live in the
-    instance __dict__, where cached_property keeps its values too.
+    and then calling __post_init__, if the class has one. Records are
+    equal when they are of the same class and their fields are equal,
+    and hash as the tuple of their fields. The repr is Class(field=value,
+    ...). Assigning or deleting an attribute raises AttributeError; the
+    fields live in the instance __dict__, where cached_property keeps its
+    values too. A class keeps each of these methods that it defines
+    itself.
     """
     names = tuple(cls.__annotations__)
     get = attrgetter(*names)  # the value itself when there is one field
@@ -47,21 +48,19 @@ def record(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    methods = [__eq__, __hash__, __repr__, __setattr__, __delattr__]
-    if "__init__" not in cls.__dict__:
-        post = getattr(cls, "__post_init__", None)
+    post = getattr(cls, "__post_init__", None)
 
-        def __init__(self, *args, **kwargs):
-            if kwargs:
-                args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
-            if kwargs or len(args) != len(names):
-                raise TypeError(f"{cls.__qualname__}() takes {', '.join(names)}, once each")
-            self.__dict__.update(zip(names, args))
-            if post is not None:
-                post(self)
+    def __init__(self, *args, **kwargs):
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {', '.join(names)}, once each")
+        self.__dict__.update(zip(names, args))
+        if post is not None:
+            post(self)
 
-        methods.append(__init__)
-    for method in methods:
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        setattr(cls, method.__name__, method)
+    for method in [__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__]:
+        if method.__name__ not in cls.__dict__:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
     return cls

@@ -384,16 +384,56 @@ def _check_cp3_work(k: int, n: int) -> None:
     _check_work(work, f"cp3 over every variable set needs 2**{n} sets x {shown}")
 
 
+# The most lane bytes `_shapes` keeps: those of `ones` and the n
+# projections of every shape it holds, each reserved in full. Building
+# them costs about 1 ns per byte from some 10 KB of them on (0.9-1.2 ns
+# per byte for k = 2 at n = 12-18 and k = 3 at n = 8-10), and more per
+# byte below, where each integer's fixed cost dominates (74 ns per byte
+# for k = 2 at n = 4). At 1 MiB a shape takes about 1 ms to build, and
+# the table holds under 7% of the 16 MB an interpreter holds after
+# `import termalg` (ru_maxrss; Intel Xeon, 2 vCPU, Python 3.11).
+_SHAPE_BYTES = 1 << 20
+
+# (k, n, lane width) -> (ones, {index: projection}) of the shapes kept,
+# oldest first; their reserved bytes sum to `_shape_bytes`
+_shapes: dict = {}
+_shape_bytes = 0
+
+
+def _shape(k: int, n: int, width: int, size: int) -> tuple:
+    """The lane integers of an n-ary table of `size` lanes of `width`
+    bytes over k elements that depend on nothing else: `ones`, 1 in
+    every lane, and a dict the projections are added to as they are
+    built. A shape whose integers together would exceed _SHAPE_BYTES is
+    built for the caller alone; any other is kept, after the oldest
+    shapes kept, as many as it takes to stay within that bound."""
+    global _shape_bytes
+    shape = _shapes.get((k, n, width))
+    if shape is None:
+        shape = (int.from_bytes(kernels.constant_lanes(1, size, width), "little"), {})
+        need = (n + 1) * size * width
+        if need <= _SHAPE_BYTES:
+            while _shape_bytes + need > _SHAPE_BYTES:
+                old_k, old_n, old_width = next(iter(_shapes))
+                del _shapes[old_k, old_n, old_width]
+                _shape_bytes -= (old_n + 1) * old_k**old_n * old_width
+            _shapes[k, n, width] = shape
+            _shape_bytes += need
+    return shape
+
+
 def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
     """Tabulate the n-ary operation the term or polynomial induces.
 
     One walk from the leaves up on lane integers (see `kernels`):
-    variables become projections (each built once), a constant c is c
-    times the integer with 1 in every lane, and each application is one
+    variables become projections, a constant c is c times `ones`, the
+    integer with 1 in every lane, and each application is one
     `kernels.compose`, which over {0, 1} applies the operation's
-    algebraic normal form by ANDs and XORs. The lane bytes are written
-    once, at the root. An application waits on an explicit stack, checked
-    when reached and composed after its last child, so nothing recurses.
+    algebraic normal form by ANDs and XORs. The projections and `ones`
+    depend only on the table's shape, and `_shape` keeps them for later
+    tabulations. The lane bytes are written once, at the root. An
+    application waits on an explicit stack, checked when reached and
+    composed after its last child, so nothing recurses.
     """
     k = alg.carrier_size
     if n < 0:
@@ -401,8 +441,7 @@ def induced_operation(term: Term, alg: FiniteAlgebra, n: int) -> FunctionTable:
     size = _table_size(k, n)
     ops = {op.symbol: op for op in alg.operations}
     width = kernels.lane_width(k, [op.arity for op in alg.operations])
-    ones = int.from_bytes(kernels.constant_lanes(1, size, width), "little")
-    projections: dict[int, int] = {}
+    ones, projections = _shape(k, n, width, size)
     stack = []  # open applications: (operation, children, lanes of those done)
     t = term
     while True:

@@ -64,11 +64,81 @@ class Constant:
 
 @record
 class Apply:
+    """An application. Its equality, hash and repr answer as the record's
+    do, but each walks the term on an explicit stack, so that a term of
+    any depth compares, hashes and prints."""
+
     symbol: str
     children: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
+
+    def __eq__(self, other):
+        if type(other) is not Apply:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a.symbol != b.symbol or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if type(x) is Apply is type(y):
+                    if x is not y:
+                        pairs.append((x, y))
+                elif x is not y and x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # hash((symbol, children)), an application child standing in by
+        # its hash, worked out before its parent's
+        stack = [(self, [])]  # open applications: (node, its children done)
+        while True:
+            node, done = stack[-1]
+            if len(done) < len(node.children):
+                child = node.children[len(done)]
+                if type(child) is Apply:
+                    stack.append((child, []))
+                else:
+                    done.append(child)
+                continue
+            stack.pop()
+            value = hash((node.symbol, tuple(done)))
+            if not stack:
+                return value
+            stack[-1][1].append(_Hashed(value))
+
+    def __repr__(self):
+        out = [f"Apply(symbol={self.symbol!r}, children=("]
+        stack = [(self.children, 0)]  # open tuples: (children, next to print)
+        while stack:
+            children, i = stack.pop()
+            if i == len(children):
+                out.append(",))" if i == 1 else "))")
+                continue
+            if i:
+                out.append(", ")
+            stack.append((children, i + 1))
+            child = children[i]
+            if type(child) is Apply:
+                out.append(f"Apply(symbol={child.symbol!r}, children=(")
+                stack.append((child.children, 0))
+            else:
+                out.append(repr(child))
+        return "".join(out)
+
+
+class _Hashed:
+    """Hashes as the hash it holds."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 Term = Union[Variable, Constant, Apply]
@@ -276,15 +346,20 @@ def is_polynomial(term: Term) -> bool:
 def _rebuild(term: Term, leaf) -> Term:
     """The term with each leaf replaced by leaf(node), the leaves met left
     to right, so that `leaf` raises the leftmost error. An application
-    waits on the stack as a one-tuple until its children are rebuilt."""
+    waits on the stack as a one-tuple until its children are rebuilt; the
+    new nodes are built without their checks, as `parse` builds them."""
     done, stack = [], [term]
+    new = Apply.__new__
     while stack:
         node = stack.pop()
         if type(node) is Apply:
             stack += [(node,), *node.children[::-1]]
         elif type(node) is tuple:
             at = len(done) - len(node[0].children)
-            done[at:] = [Apply(node[0].symbol, tuple(done[at:]))]
+            built = new(Apply)
+            fields = built.__dict__
+            fields["symbol"], fields["children"] = node[0].symbol, tuple(done[at:])
+            done[at:] = [built]
         else:
             done.append(leaf(node))
     return done[0]

@@ -417,6 +417,91 @@ class TestInducedOperation:
         unit = FiniteAlgebra("unit", 1, (Operation("f", 1, (0,)),))
         assert induced_operation(x1, unit, 50).values == (0,)
 
+    # `ones` and the projections of a table shape are kept across
+    # tabulations, within algebra._SHAPE_BYTES lane bytes
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_shapes", {})
+        monkeypatch.setattr(algebra, "_shape_bytes", 0)
+
+    @staticmethod
+    def every_leaf(symbol, n):
+        """symbol(#0,symbol(x1,...symbol(x(n-1),xn))): `ones` and every
+        projection of the shape; #0 at n = 0."""
+        leaves = ["#0"] + [f"x{i}" for i in range(1, n + 1)]
+        text = leaves.pop()
+        for leaf in reversed(leaves):
+            text = f"{symbol}({leaf},{text})"
+        return text
+
+    def test_cold_and_warm_shapes_agree(self, cold, bu, mod3):
+        # two-byte lanes: 17**2 operation-table indices; a unary
+        # operation on 17 elements keeps one-byte lanes
+        table = tuple((a + b) % 17 for a in range(17) for b in range(17))
+        add17 = FiniteAlgebra("add17", 17, (Operation("+", 2, table),))
+        inc17 = FiniteAlgebra("inc17", 17, (Operation("s", 1, (*range(1, 17), 0)),))
+        rng = random.Random(27)
+        # shapes interleaved; mod3 and add17 at n = 12 are beyond the
+        # oracle's reach and the table budget, so they take n = 4 and 3
+        shapes = [(bu, 12), (mod3, 0), (add17, 1), (bu, 0), (mod3, 4), (add17, 3), (bu, 1)]
+        shapes += [(inc17, 3), (mod3, 1), (add17, 0), (inc17, 1)]
+        cases = []
+        for alg, n in shapes * 3:
+            term = random_term(rng, alg, max(n, 1), 4, p_const=0.2 if n else 1.0)
+            expected = oracle.table_of(term, oracle.ops_of(alg), alg.carrier_size, n)
+            cases.append((alg, n, term, expected))
+        for alg, n, term, expected in cases:
+            algebra._shapes.clear()
+            algebra._shape_bytes = 0
+            assert induced_operation(term, alg, n).values == expected
+        algebra._shapes.clear()
+        algebra._shape_bytes = 0
+        for alg, n, term, expected in cases * 2:
+            assert induced_operation(term, alg, n).values == expected
+        assert len(algebra._shapes) == len(shapes)
+        assert {(2, 12, 1), (17, 3, 2), (17, 3, 1)} <= set(algebra._shapes)
+
+    def test_errors_on_a_warm_shape(self, cold, bu):
+        induced_operation(parse("+(x1,x2)", bu), bu, 2)
+        assert list(algebra._shapes) == [(2, 2, 1)]
+        with pytest.raises(TermError, match="^variable x3 exceeds context arity 2$"):
+            induced_operation(parse("+(x1,x3)", bu), bu, 2)
+        with pytest.raises(TermError, match="^unknown operation symbol 'q'$"):
+            induced_operation(Apply("+", (Variable(1), Apply("q", (Variable(2),)))), bu, 2)
+        assert induced_operation(parse("+(x2,x1)", bu), bu, 2).values == (0, 1, 1, 0)
+
+    def test_shape_over_the_bound_is_not_kept(self, cold, bu):
+        # the smallest two-element shape whose constants exceed the
+        # bound; it is within the table budget
+        n = next(n for n in range(30) if (n + 1) * 2**n > algebra._SHAPE_BYTES)
+        assert 2**n <= algebra.TABLE_BUDGET
+        induced_operation(parse("x1", bu), bu, 3)
+        kept = {key: (ones, dict(proj)) for key, (ones, proj) in algebra._shapes.items()}
+        table = induced_operation(parse(self.every_leaf("+", n), bu), bu, n)
+        # the xor of every variable: 1 on the odd-weight half of the tuples
+        assert table.values[:4] == (0, 1, 1, 0) and sum(table.values) == 2 ** (n - 1)
+        assert algebra._shapes == kept and algebra._shape_bytes == 4 * 8
+
+    def test_sweep_stays_within_the_bound(self, cold, bu, chain3):
+        need = 0
+        for alg, symbol in ((bu, "+"), (chain3, "max")):
+            k = alg.carrier_size
+            n = 0
+            while (n + 1) * k**n <= algebra._SHAPE_BYTES:
+                induced_operation(parse(self.every_leaf(symbol, n), alg), alg, n)
+                need += (n + 1) * k**n
+                assert algebra._shape_bytes <= algebra._SHAPE_BYTES
+                # lane bytes held, each integer's top zero lanes aside
+                held = [i for ones, proj in algebra._shapes.values() for i in (ones, *proj.values())]
+                assert sum((i.bit_length() + 7) // 8 for i in held) <= algebra._shape_bytes
+                n += 1
+        # the sweep needed more than the bound, so the oldest shapes went
+        assert need > algebra._SHAPE_BYTES
+        assert (2, 0, 1) not in algebra._shapes and (3, 1, 1) in algebra._shapes
+        assert algebra._shape_bytes == sum((n + 1) * k**n * w for k, n, w in algebra._shapes)
+
+
 
 class TestRestrictTable:
     def test_example_t1_fixing_x3(self, bu):

@@ -335,7 +335,6 @@ class TestWalks:
         return parse(self.TEXT, SIG)
 
     def test_counts(self, deep):
-        # deep terms are compared by their text: record equality recurses
         assert len(nodes(deep)) == 2 * self.DEPTH + 5
         assert (cp1(deep), cp2(deep)) == (2, self.DEPTH + 2)
         assert is_polynomial(deep)
@@ -347,6 +346,18 @@ class TestWalks:
         swapped = text.replace("x1", "x3").replace("x2", "x1").replace("x3", "x2")
         assert print_term(rename_variables(deep, {1: 2, 2: 1})) == swapped
         assert print_term(map_constants(deep, {0: 1, 1: 0})) == text.replace("#0", "#1")
+
+    def test_compare_hash_print(self, deep):
+        twin = parse(self.TEXT, SIG)
+        assert twin is not deep and twin == deep and not twin != deep
+        assert hash(twin) == hash(deep)
+        # one constant changed at the bottom, and one at the top
+        assert parse(self.TEXT.replace("#0)", "#1)", 1), SIG) != deep
+        assert parse(self.TEXT[::-1].replace(")0#", ")1#", 1)[::-1], SIG) != deep
+        assert deep != parse("x1", SIG) and deep != self.TEXT
+        inner = repr(parse("+(x1,*(x2,#0))", SIG))
+        outer = "Apply(symbol='+', children=("
+        assert repr(deep) == outer * self.DEPTH + inner + ", Constant(value=0)))" * self.DEPTH
 
     def test_tabulation(self, bu, deep):
         assert induced_operation(deep, bu, 2).values == (0, 0, 1, 1)
