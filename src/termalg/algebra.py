@@ -280,12 +280,15 @@ def validate_algebra(raw: Mapping) -> FiniteAlgebra:
 def load_algebra(path) -> FiniteAlgebra:
     """Read an algebra description file (JSON)."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraError(f"{path}: invalid JSON: {exc}") from None
-        except RecursionError:
-            raise AlgebraError(f"{path}: JSON nested too deeply to read") from None
+        text = fh.read()
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise AlgebraError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise AlgebraError(f"{path}: JSON nested too deeply to read") from None
+    except ValueError:  # int() refuses a number's length
+        raise AlgebraError(f"{path}: JSON number too long to read") from None
     return validate_algebra(raw)
 
 

@@ -230,27 +230,12 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _witness_texts(derivations):
-    """Printed witnesses of a clone in discovery order, from the
-    closure's derivations (`CloneLevel`), as `terms.print_term` prints
-    them. The arguments of each composed member are earlier members, so
-    its text joins theirs; no term is built."""
-    texts: list[str] = []
-    for d in derivations:
-        if type(d) is int:
-            texts.append(f"x{d}")
-        else:
-            symbol, args = d
-            texts.append(f"{symbol}({','.join(map(texts.__getitem__, args))})")
-    return texts
-
-
 def _cmd_clone(args) -> int:
     alg = load_algebra(args.algebra)
     n, max_size = _clone_args(args)
     clone = complexity.clone_level(alg, n, max_size) if args.list else None
     size = clone.size if args.list else complexity.clone_size(alg, n, max_size)
-    texts = _witness_texts(clone._derivations) if args.list else ()
+    texts = clone.witness_texts if args.list else ()
     if args.json:
         head = _dumps({"algebra": alg.name, "n": n, "size": size})
         if not args.list:

@@ -129,7 +129,8 @@ class CloneLevel:
     `width` bytes per entry; `members` makes them FunctionTables on first
     use. The closure records each member's derivation in `_derivations`:
     the index i of the projection x_i, or (symbol, argument member
-    indices). `witnesses` builds the terms from them on first use.
+    indices). `witnesses` builds the terms from them on first use, and
+    `witness_texts` their printed forms.
     """
 
     arity: int
@@ -157,6 +158,20 @@ class CloneLevel:
                 symbol, args = d
                 built.append(Apply(symbol, tuple(map(built.__getitem__, args))))
         return tuple(built)
+
+    @property
+    def witness_texts(self) -> list:
+        """The witnesses as `terms.print_term` prints them, from the
+        derivations. The arguments of each composed member are earlier
+        members, so its text joins theirs; no term is built."""
+        texts: list[str] = []
+        for d in self._derivations:
+            if type(d) is int:
+                texts.append(f"x{d}")
+            else:
+                symbol, args = d
+                texts.append(f"{symbol}({','.join(map(texts.__getitem__, args))})")
+        return texts
 
     @cached_property
     def members(self) -> tuple:
@@ -446,7 +461,9 @@ def _generated(alg, s, budget, m=1):
     None once the rounds would visit more than `budget` operation-table
     entries."""
     k = alg.carrier_size
-    while len(s) < k**m:
+    # every operation has an argument, so the empty set is closed; over
+    # one element an arity is not bounded by its table's length
+    while s and len(s) < k**m:
         budget -= m * sum(len(s) ** op.arity for op in alg.operations)
         if budget < 0:
             return None

@@ -1,10 +1,30 @@
-"""Shared generators for randomized and exhaustive term tests."""
+"""Shared generators for randomized and exhaustive term tests, and the
+one way the tests start a fresh interpreter."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 from termalg.algebra import FiniteAlgebra, Operation
 from termalg.terms import Apply, Constant, Variable
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def fresh_python(*args, timeout=60):
+    """Run `python *args` in a fresh interpreter, with this tree's `src`
+    as PYTHONPATH and the repository root as working directory, so that
+    `perfbench/algebras/...` paths resolve. The test process has imported
+    everything already, so only a fresh interpreter sees an entry-point
+    or import-order break. Returns the CompletedProcess, its stdout and
+    stderr as bytes; raises TimeoutExpired after `timeout` seconds."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=REPO, env=env, capture_output=True, timeout=timeout
+    )
 
 
 def random_term(rng, alg, n_vars, depth, p_const=0.0):

@@ -181,6 +181,14 @@ class TestSerialization:
         with pytest.raises(AlgebraError, match=message):
             load_algebra(path)
 
+    @pytest.mark.parametrize("number", ["9" * 5000, "-" + "9" * 5000])
+    def test_number_too_long_is_an_algebra_error(self, tmp_path, number):
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"name": "a", "carrier": {number}, "operations": []}}')
+        message = re.escape(f"{path}: JSON number too long to read") + "$"
+        with pytest.raises(AlgebraError, match=message):
+            load_algebra(path)
+
     def test_text_is_json_indented_document(self):
         algebras = [getattr(catalog, name)() for name in catalog.__all__]
         for alg in algebras + list(wide_lane_algebras()):

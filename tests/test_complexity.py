@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 from collections import Counter
 from itertools import product
 from math import comb
@@ -288,7 +289,7 @@ class TestCloneLevel:
             clone = clone_level(alg, n)
             # the witnesses read back from their printed form, before the
             # closure-built level has built its own
-            texts = cli._witness_texts(clone._derivations)
+            texts = clone.witness_texts
             eager = complexity.CloneLevel(
                 n, alg.carrier_size, clone.tables, clone.width, tuple(parse(t, alg) for t in texts)
             )
@@ -661,6 +662,16 @@ class TestSubuniverseBound:
         # the functions that fix 0 (Post 1941)
         assert [bound(br, n) for n in range(5)] == [0, 2, 8, 128, 32768]
         assert [bound(sl, n) for n in range(3)] == [0, 1, 4]
+
+    def test_huge_arity_over_one_element(self):
+        # a one-element table fits any arity, so no step may cost a pass
+        # over the arguments
+        alg = FiniteAlgebra("one", 1, (Operation("f", 10**7, (0,)),))
+        start = time.perf_counter()
+        assert [complexity._subuniverse_bound(alg, n) for n in range(3)] == [0, 1, 1]
+        assert [clone_level(alg, n).size for n in range(3)] == [0, 1, 1]
+        assert algebra_n_complexity(alg, 2).histogram == {0: 1}
+        assert time.perf_counter() - start < 1
 
     def test_boolean_ring_stops_at_the_bound(self, br, monkeypatch):
         # with no Baker-Pixley size, the bound is the only stop

@@ -3,11 +3,6 @@ hashing as the field tuple, a Class(field=value, ...) repr and no
 assignment. Importing the package loads neither dataclasses nor inspect,
 nor the CLI and argparse."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import termalg
@@ -26,6 +21,8 @@ from termalg import (
     clone_level,
     projection_table,
 )
+
+from helpers import fresh_python
 
 NEG = Operation("neg", 1, (1, 0))
 
@@ -190,18 +187,13 @@ def _loaded_by(imports, modules):
         f"import sys; before = set(sys.modules); import {imports}; "
         f"print(sorted({modules!r} & (set(sys.modules) - before)))"
     )
-    src = str(Path(termalg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout
+    return fresh_python("-c", script).stdout
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    assert _loaded_by("termalg, termalg.cli", {"dataclasses", "inspect"}) == "[]\n"
+    assert _loaded_by("termalg, termalg.cli", {"dataclasses", "inspect"}) == b"[]\n"
 
 
 def test_import_termalg_loads_neither_the_cli_nor_argparse():
     modules = {"dataclasses", "inspect", "argparse", "termalg.cli"}
-    assert _loaded_by("termalg", modules) == "[]\n"
+    assert _loaded_by("termalg", modules) == b"[]\n"
