@@ -21,6 +21,12 @@ class UsageError(Exception):
     pass
 
 
+def _name(text: str) -> str:
+    """An algebra's name for human output: quoted as JSON when it has a
+    character that does not print, such as a line break."""
+    return text if text.isprintable() else _quote(text)
+
+
 def _format_set(indices) -> str:
     return "{" + ",".join(f"x{i}" for i in sorted(indices)) + "}"
 
@@ -69,7 +75,7 @@ def _cmd_alg_check(args) -> int:
                 {"symbol": op.symbol, "arity": op.arity} for op in alg.operations
             ],
         },
-        lambda: f"OK: {alg.name}, carrier {alg.carrier_size}, operations: "
+        lambda: f"OK: {_name(alg.name)}, carrier {alg.carrier_size}, operations: "
         + ", ".join(f"{op.symbol}/{op.arity}" for op in alg.operations),
     )
     return 0
@@ -119,17 +125,19 @@ def _cmd_sep(args) -> int:
             lambda: f"{_format_set(subset)} is {'separable' if verdict else 'not separable'}",
         )
         return 0
-    sets = semantics.sep_sets(term, alg, arity)
+    # the separable sets are those of positive cp3 count (semantics.sep_sets)
+    report = complexity.cp3_total(term, alg, arity)
     text = terms.print_term(term)
-    _emit(
-        args,
-        lambda: {
-            "term": text,
-            "arity": arity,
-            "separable_sets": [sorted(m) for m in sets],
-        },
-        lambda: "\n".join([f"Sep sets ({len(sets)}):"] + [f"  {_format_set(m)}" for m in sets]),
-    )
+    if args.json:
+        # the layout of json.dumps(doc, indent=2) with the sets listed as
+        # "separable_sets", laid out by hand
+        sets = [t for t, count in report.set_texts(",\n      ") if count]
+        listed = "[\n    [\n      " + "\n    ],\n    [\n      ".join(sets) + "\n    ]\n  ]"
+        head = _dumps({"term": text, "arity": arity})
+        print(f'{head[:-2]},\n  "separable_sets": {listed if sets else "[]"}\n}}')
+        return 0
+    sets = [t for t, count in report.set_texts(",", "x") if count]
+    print("\n".join([f"Sep sets ({len(sets)}):"] + [f"  {{{t}}}" for t in sets]))
     return 0
 
 
@@ -179,14 +187,12 @@ def _cmd_cp(args) -> int:
         out = _dumps(doc)
         if report is not None:
             # the layout of json.dumps(doc, indent=2) with the sets listed
-            # under "per_set" after "total", laid out by hand: faster than
-            # _dumps
-            per_set = ",\n".join(
-                '      {\n        "vars": [\n          '
-                + ",\n          ".join(map(str, sorted(m)))
-                + f'\n        ],\n        "count": {c}\n      }}'
-                for m, c in report.sorted_items()
+            # under "per_set" after "total", laid out by hand
+            entry = (
+                '      {\n        "vars": [\n          %s\n'
+                '        ],\n        "count": %d\n      }'
             )
+            per_set = ",\n".join([entry % pair for pair in report.set_texts(",\n          ")])
             listed = f"[\n{per_set}\n    ]" if per_set else "[]"
             out = f'{out[:-6]},\n    "per_set": {listed}\n  }}\n}}'
         print(out)
@@ -197,7 +203,7 @@ def _cmd_cp(args) -> int:
     if cp2 is not None:
         lines.append(f"Cp2 = {cp2}")
     if report is not None:
-        lines += [f"Cp3[{_format_set(m)}] = {c}" for m, c in report.sorted_items()]
+        lines += [f"Cp3[{{{t}}}] = {c}" for t, c in report.set_texts(",", "x")]
         lines.append(f"Cp3 total = {report.total}")
     print("\n".join(lines))
     return 0
@@ -219,7 +225,7 @@ def _cmd_census(args) -> int:
         sys.stdout.write(census.to_json())
         return 0
     lines = [
-        f"algebra {census.algebra}, n = {census.n}",
+        f"algebra {_name(census.algebra)}, n = {census.n}",
         f"clone size: {census.clone_size}",
         "histogram (complexity: members):",
     ]
@@ -258,7 +264,7 @@ def _cmd_clone(args) -> int:
             members = ",\n".join((member,) * size) % values % tuple(map(_quote, texts))
             print(head[:-2], ',\n  "members": [\n', members, "\n  ]\n}", sep="")
         return 0
-    print(f"clone of {alg.name} at arity {n}: {size} members")
+    print(f"clone of {_name(alg.name)} at arity {n}: {size} members")
     for i, w in enumerate(texts):
         print(f"  {i}: {list(kernels.unpack(clone.tables[i], clone.width))}  <-  {w}")
     return 0

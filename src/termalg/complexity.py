@@ -14,7 +14,7 @@ import struct
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress, product
 from math import comb
-from operator import or_
+from operator import concat, not_, or_
 from typing import Iterable, Mapping, Optional
 
 from . import algebra, kernels
@@ -62,7 +62,12 @@ def cp2(term: Term) -> int:
 
 @record
 class ComplexityReport:
-    """cp3 counts of one function: per nonempty variable set, plus total."""
+    """cp3 counts of one function: per nonempty variable set, plus total.
+
+    A report built from the counts by mask (`from_counts`) keeps them in
+    `_counts` and makes `per_set` from them on first use; `sorted_items`
+    and `set_texts` read the counts by mask either way.
+    """
 
     arity: int
     per_set: Mapping[frozenset, int]
@@ -70,15 +75,42 @@ class ComplexityReport:
 
     @classmethod
     def from_counts(cls, counts, arity: int) -> "ComplexityReport":
-        sets = dict(kernels.index_sets(arity))
-        per = {sets[m]: counts[m] for m in range(1, 1 << arity)}
-        return cls(arity, per, sum(counts))
+        """The report of `kernels.cp3_counts`, a list indexed by mask."""
+        report = cls.__new__(cls)
+        report.__dict__.update(arity=arity, total=sum(counts), _counts=counts)
+        return report
+
+    @cached_property
+    def per_set(self) -> Mapping[frozenset, int]:
+        counts = self._counts
+        return {kernels.indices_of_mask(m): counts[m] for m in range(1, 1 << self.arity)}
+
+    @cached_property
+    def _counts(self) -> list:
+        """The counts indexed by mask, of a report built with `per_set`."""
+        counts = [0] * (1 << self.arity)
+        for s, c in self.per_set.items():
+            counts[kernels.mask_of_indices(s)] = c
+        return counts
 
     def sorted_items(self):
         """(set, count) pairs of every nonempty set of x1..x_arity,
         ordered lexicographically by sorted indices (`kernels.preorder`)."""
-        per = self.per_set
-        return [(s, per[s]) for _, s in kernels.index_sets(self.arity)]
+        counts = self._counts
+        singletons = [frozenset((i,)) for i in range(1, self.arity + 1)]
+        paths = kernels.index_paths(singletons, or_, frozenset())
+        return [(s, counts[m]) for m, s in paths]
+
+    def set_texts(self, sep: str = ",", prefix: str = ""):
+        """Yield (text, count) for every nonempty set of x1..x_arity, in
+        the order of `sorted_items`; the text is the set's indices in
+        increasing order, each after `prefix`, joined by `sep`. Each text
+        is its parent set's with one index added, and no set is built."""
+        counts = self._counts
+        items = [f"{sep}{prefix}{i}" for i in range(1, self.arity + 1)]
+        cut = len(sep)
+        for m, text in kernels.index_paths(items, concat, ""):
+            yield text[cut:], counts[m]
 
 
 def cp3_set(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) -> int:
@@ -92,8 +124,10 @@ def cp3_set(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) -> in
 
 
 def cp3_total(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> ComplexityReport:
-    """Full cp3 report over all nonempty subsets of x1..xn."""
+    """Full cp3 report over all nonempty subsets of x1..xn; its work is
+    checked before the term is tabulated."""
     n = _context(n, term)
+    _check_cp3_work(alg.carrier_size, n)
     return cp3_of_table(induced_operation(term, alg, n))
 
 
@@ -251,9 +285,10 @@ def _closure(alg, n, max_size, bound):
     of every entry of every candidate in its own lane, which is below
     256**width so no lane carries. One table lookup over the bytes then
     yields all the composed tables, in the order the argument tuples
-    come in. A block is split into its tables at C speed and deduplicated
-    by one set difference against the known tables; when some are new,
-    one pass over the block picks them out in block order.
+    come in. A block is split into its tables at C speed; one superset
+    test against the known tables skips it when none is new, and
+    otherwise one lazy pass picks out the tables not yet seen, in block
+    order, each added before the next is tested.
     """
     k = alg.carrier_size
     width = kernels.lane_width(k, [op.arity for op in alg.operations])
@@ -313,12 +348,10 @@ def _closure(alg, n, max_size, bound):
                     split = struct.Struct(f"{step}s" * count)
                 chunks = split.unpack(data)
                 del data
-                novel = set(chunks).difference(seen)
-                if not novel:
+                if seen.issuperset(chunks):
                     continue
-                for j in compress(range(count), map(novel.__contains__, chunks)):
-                    if chunks[j] in seen:
-                        continue  # a new table repeated within the block
+                # lazy: a table added earlier in this block is seen by then
+                for j in compress(range(count), map(not_, map(seen.__contains__, chunks))):
                     if add(chunks[j], (op.symbol, prefix + (first + j,))):
                         return level()
         frontier = known

@@ -17,7 +17,6 @@ from .algebra import (
     FiniteAlgebra,
     FunctionTable,
     induced_operation,
-    _check_cp3_work,
     _check_work,
 )
 from .errors import TermError
@@ -103,13 +102,12 @@ def is_separable(term: Term, alg: FiniteAlgebra, n: int, subset: Iterable[int]) 
 
 
 def sep_sets(term: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> list[frozenset[int]]:
-    """All separable sets, ordered lexicographically by sorted indices:
-    the masks are visited in `kernels.preorder`."""
-    n = _context(n, term)
-    _check_cp3_work(alg.carrier_size, n)
-    table = induced_operation(term, alg, n)
-    counts = kernels.cp3_counts(table.lanes, alg.carrier_size, n)
-    return [s for m, s in kernels.index_sets(n) if counts[m]]
+    """All separable sets, those of positive cp3 count, ordered
+    lexicographically by sorted indices: the sets of the cp3 report
+    (`complexity.cp3_total`), in its order."""
+    from .complexity import cp3_total  # complexity imports this module
+
+    return [s for s, count in cp3_total(term, alg, n).sorted_items() if count]
 
 
 def is_subterm(t: Term, s: Term, alg: FiniteAlgebra, n: Optional[int] = None) -> bool:

@@ -263,6 +263,24 @@ class TestDumps:
             {"a": (1, (2,)), "b": [True, False, None, 1.5, float("inf")]},
             [1, True, 0, False],
             "\u00e9\x00\"\\",
+            # the documents of cp and sep, with no set (arity 0), no
+            # separable set, and sets
+            {"term": "#1", "arity": 0, "cp1": 0, "cp2": 0, "cp3": {"total": 0, "per_set": []}},
+            {"term": "#1", "arity": 0, "separable_sets": []},
+            {"term": "+(x1,x1)", "arity": 1, "separable_sets": []},
+            {
+                "term": "*(x1,x2)",
+                "arity": 2,
+                "cp3": {
+                    "total": 3,
+                    "per_set": [
+                        {"vars": [1], "count": 1},
+                        {"vars": [1, 2], "count": 1},
+                        {"vars": [2], "count": 1},
+                    ],
+                },
+            },
+            {"term": "*(x1,x2)", "arity": 2, "separable_sets": [[1], [1, 2], [2]]},
         ],
     )
     def test_edge_cases(self, doc):

@@ -18,6 +18,7 @@ from helpers import wide_lane_algebras
 
 T1 = "+(*(x1,x2),x3)"
 T2 = "+(*(x1,x3),*(x2,neg(x3)))"
+NEG_DOC = {"symbol": "neg", "arity": 1, "table": [1, 0]}
 
 
 def run(capsys, *argv):
@@ -86,6 +87,30 @@ class TestAlgCheck:
         code, _, err = run(capsys, "alg-check", str(tmp_path / "nope.json"))
         assert code == 1
         assert err
+
+    def test_names_that_do_not_print_are_quoted(self, capsys, tmp_path):
+        # alg-check, census and clone print the name in their first line;
+        # a line break or escape in it is written as JSON writes it, and
+        # a printable name byte for byte
+        path = tmp_path / "named.json"
+        commands = {
+            "alg-check": ([], "OK: {}, carrier 2, operations: neg/1", 1),
+            "census": (["--arity", "1"], "algebra {}, n = 1", 5),
+            "clone": (["--arity", "1", "--list"], "clone of {} at arity 1: 2 members", 3),
+        }
+        for name, shown in [
+            ("a\nb", '"a\\nb"'),
+            ("tab\tbell\x07", '"tab\\tbell\\u0007"'),
+            (" ", '"\\u2028"'),
+            ("pläin name", "pläin name"),
+        ]:
+            doc = {"name": name, "carrier": 2, "operations": [NEG_DOC]}
+            path.write_text(json.dumps(doc))
+            for command, (options, first, lines) in commands.items():
+                code, out, _ = run(capsys, command, str(path), *options)
+                assert code == 0
+                assert out.split("\n")[0] == first.format(shown)
+                assert out.count("\n") == lines
 
 
 class TestEval:
@@ -450,7 +475,9 @@ class TestCensusAndClone:
         assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
         code, out, _ = run(capsys, "clone", str(path), "--arity", str(n), "--list")
         assert code == 0
-        head = f"clone of {alg.name} at arity {n}: {clone.size} members\n"
+        # a name that does not print is quoted, as in the JSON
+        shown = alg.name if alg.name.isprintable() else json.dumps(alg.name)
+        head = f"clone of {shown} at arity {n}: {clone.size} members\n"
         assert out == head + "".join(
             f"  {i}: {list(m.values)}  <-  {print_term(w)}\n"
             for i, (m, w) in enumerate(zip(clone.members, clone.witnesses))

@@ -333,6 +333,15 @@ class TestCloneLevel:
                 clone_level(chain3, 4, max_size=max_size)
         assert listing(clone_level(chain3, 4, max_size=166)) == full
 
+    def test_new_table_twice_in_one_block(self):
+        # c(x1, x1) and c(x1, x2) are the same new constant, in the one
+        # block of the first round: it is added once, with the first
+        # tuple's witness
+        const = FiniteAlgebra("const", 2, (Operation("c", 2, (1, 1, 1, 1)),))
+        clone = clone_level(const, 2)
+        assert clone.witness_texts == ["x1", "x2", "c(x1,x1)"]
+        assert [m.values for m in clone.members][2:] == [(1, 1, 1, 1)]
+
     def test_budget_equal_to_clone_size_is_enough(self, bu):
         assert clone_level(bu, 3, max_size=256).size == 256
 

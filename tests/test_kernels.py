@@ -1,12 +1,25 @@
 """Kernel-level checks: agreement with the oracle."""
 
+import json
 import random
 from itertools import product
+from operator import add, or_
 
 import pytest
 
-from termalg import Operation, catalog, cp3_total, kernels, sep_sets
-from termalg.terms import Apply, Variable
+from termalg import (
+    Operation,
+    catalog,
+    cli,
+    cp1,
+    cp2,
+    cp3_total,
+    dump_algebra,
+    kernels,
+    print_term,
+    sep_sets,
+)
+from termalg.terms import Apply, Constant, Variable
 
 import oracle
 
@@ -478,25 +491,56 @@ def test_preorder_is_the_order_of_sorted_indices():
         assert sorted(masks) == list(range(1, 1 << n))
         sets = [kernels.indices_of_mask(m) for m in masks]
         assert sets == in_sorted_order(sets)
+        # index_paths joins each mask's path from its parent's
+        singletons = [frozenset({i}) for i in range(1, n + 1)]
+        assert list(kernels.index_paths(singletons, or_, frozenset())) == list(zip(masks, sets))
+        items = [f",{i}" for i in range(1, n + 1)]
+        texts = ["".join(f",{i}" for i in sorted(s)) for s in sets]
+        assert list(kernels.index_paths(items, add, "")) == list(zip(masks, texts))
 
 
-def test_sep_sets_and_cp_per_set_in_sorted_order():
+def test_sep_sets_and_cp_per_set_in_sorted_order(tmp_path, capsys):
     rng = random.Random(413)
     alg = catalog.bool2()
-    for n in range(1, 9):
+    path = str(tmp_path / "bool2.json")
+    dump_algebra(alg, path)
+    for n in range(9):
         # the sum of all variables leaves every set separable; a random
-        # chain of + and * leaves some
-        parity, chain = Variable(1), Variable(1)
-        for i in range(2, n + 1):
-            parity = Apply("+", (parity, Variable(i)))
-            chain = Apply(rng.choice("+*"), (chain, Variable(i)))
-        assert len(sep_sets(parity, alg, n)) == 2**n - 1
-        for term in (parity, chain):
+        # chain of + and * leaves some; a constant leaves none
+        terms = [Constant(1)]
+        if n:
+            parity, chain = Variable(1), Variable(1)
+            for i in range(2, n + 1):
+                parity = Apply("+", (parity, Variable(i)))
+                chain = Apply(rng.choice("+*"), (chain, Variable(i)))
+            assert len(sep_sets(parity, alg, n)) == 2**n - 1
+            terms += [parity, chain]
+        for term in terms:
             found = sep_sets(term, alg, n)
             assert found == in_sorted_order(found)
-            items = cp3_total(term, alg, n).sorted_items()
+            report = cp3_total(term, alg, n)
+            items = report.sorted_items()
             assert [s for s, _ in items] == in_sorted_order(s for s, _ in items)
             assert len(items) == 2**n - 1
+            # the CLI names the sets as it walks them; its output is what
+            # the generic writers make of the sets in this order
+            text = print_term(term)
+            head = {"term": text, "arity": n}
+            per_set = [{"vars": sorted(s), "count": c} for s, c in items]
+            cp = {**head, "cp1": cp1(term), "cp2": cp2(term)}
+            cp["cp3"] = {"total": report.total, "per_set": per_set}
+            cp_lines = [f"term: {text}", f"Cp1 = {cp['cp1']}", f"Cp2 = {cp['cp2']}"]
+            cp_lines += [f"Cp3[{cli._format_set(s)}] = {c}" for s, c in items]
+            cp_lines.append(f"Cp3 total = {report.total}")
+            sep_lines = [f"Sep sets ({len(found)}):"] + [f"  {cli._format_set(s)}" for s in found]
+            sep = {**head, "separable_sets": [sorted(s) for s in found]}
+            expected = {"cp": ("\n".join(cp_lines), cp), "sep": ("\n".join(sep_lines), sep)}
+            for command, (human, doc) in expected.items():
+                argv = [command, path, text, "--arity", str(n)]
+                assert cli.main(argv) == 0
+                assert capsys.readouterr().out == human + "\n"
+                assert cli.main(argv + ["--json"]) == 0
+                assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_cp3_count_rejects_positions_beyond_arity():

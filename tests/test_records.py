@@ -170,6 +170,28 @@ def test_cached_table_values():
     assert repr(built) == "FunctionTable(arity=1, carrier_size=2, lanes=b'\\x01\\x00')"
 
 
+def test_cached_report_per_set():
+    # the report from the counts by mask is the record of the constructor
+    # case above: equal, unhashable as a dict field is, the same repr
+    cls, args, _, fields, text = next(case for case in CASES if case[0] is ComplexityReport)
+    built = ComplexityReport.from_counts([0, 2], 1)
+    assert "per_set" not in vars(built)
+    assert built == cls(*args) and cls(*args) == built
+    assert repr(built) == text
+    with pytest.raises(TypeError):
+        hash(built)
+    assert built.per_set is built.per_set
+    assert fields_of(built) == fields
+    # at arity 3, the sets keyed in mask order, as the constructor's
+    counts = [0, 1, 0, 2, 3, 0, 1, 4]
+    built = ComplexityReport.from_counts(counts, 3)
+    per = {termalg.kernels.indices_of_mask(m): counts[m] for m in range(1, 8)}
+    report = ComplexityReport(3, per, 11)
+    assert built == report and repr(built) == repr(report)
+    assert built.sorted_items() == report.sorted_items()
+    assert list(built.set_texts()) == list(report.set_texts())
+
+
 def test_cached_clone_members():
     level = clone_level(catalog.bool2(), 2)
     members = level.members
