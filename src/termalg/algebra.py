@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from . import kernels
 from ._record import record
 from .errors import AlgebraError, BudgetError, TermError
-from .terms import Apply, Constant, Term, Variable
+from .terms import Apply, Constant, Term, Variable, _symbol_word
 
 TABLE_BUDGET = 1_000_000
 WORK_BUDGET = 100_000_000
@@ -124,12 +124,6 @@ class FiniteAlgebra:
 
     def signature(self) -> dict[str, int]:
         return {op.symbol: op.arity for op in self.operations}
-
-    def operation(self, symbol: str) -> Operation:
-        for op in self.operations:
-            if op.symbol == symbol:
-                return op
-        raise TermError(f"unknown operation symbol {symbol!r}")
 
 
 @record
@@ -268,6 +262,11 @@ def validate_algebra(raw: Mapping) -> FiniteAlgebra:
             token = "constant" if symbol[0] == "#" else "variable"
             raise AlgebraError(
                 f"operation entry {pos}: field 'symbol' {symbol!r} reads as a {token} in terms"
+            )
+        # what it cannot read as one symbol word, such as "f g", "," or "\n"
+        if not _symbol_word(symbol) or symbol.isspace() or not symbol.isprintable():
+            raise AlgebraError(
+                f"operation entry {pos}: field 'symbol' {symbol!r} does not read as a symbol in terms"
             )
         if not isinstance(arity, int) or isinstance(arity, bool):
             raise AlgebraError(f"operation {symbol!r} (index {pos}): arity must be an integer")

@@ -34,7 +34,7 @@ def _format_set(indices) -> str:
 def _parse_index_set(text: str, arity: int) -> list[int]:
     out = []
     for chunk in text.split(","):
-        chunk = chunk.strip().lstrip("x")
+        chunk = chunk.strip().removeprefix("x")
         if not chunk.isdecimal():  # what int() reads; isdigit also takes '²'
             raise UsageError(f"bad variable list {text!r}; expected e.g. 1,3 or x1,x3")
         try:

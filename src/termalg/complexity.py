@@ -14,7 +14,7 @@ import struct
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress, product
 from math import comb
-from operator import concat, not_, or_
+from operator import not_, or_
 from typing import Iterable, Mapping, Optional
 
 from . import algebra, kernels
@@ -97,19 +97,21 @@ class ComplexityReport:
         """(set, count) pairs of every nonempty set of x1..x_arity,
         ordered lexicographically by sorted indices (`kernels.preorder`)."""
         counts = self._counts
-        singletons = [frozenset((i,)) for i in range(1, self.arity + 1)]
-        paths = kernels.index_paths(singletons, or_, frozenset())
-        return [(s, counts[m]) for m, s in paths]
+        return [(kernels.indices_of_mask(m), counts[m]) for m in kernels.preorder(self.arity)]
 
     def set_texts(self, sep: str = ",", prefix: str = ""):
         """Yield (text, count) for every nonempty set of x1..x_arity, in
         the order of `sorted_items`; the text is the set's indices in
         increasing order, each after `prefix`, joined by `sep`. Each text
-        is its parent set's with one index added, and no set is built."""
+        is its parent's, the last set visited with one index fewer, plus
+        one index; no set is built."""
         counts = self._counts
         items = [f"{sep}{prefix}{i}" for i in range(1, self.arity + 1)]
+        path = [""] * (self.arity + 1)  # the text at each depth
         cut = len(sep)
-        for m, text in kernels.index_paths(items, concat, ""):
+        for m in kernels.preorder(self.arity):
+            depth = m.bit_count()
+            path[depth] = text = path[depth - 1] + items[m.bit_length() - 1]
             yield text[cut:], counts[m]
 
 

@@ -31,7 +31,7 @@ path that `cp3_counts` takes for one table.
 shared as in the fast zeta transform over the subset lattice: a mask's
 smeared bitsets come from its parent's by one smear each. It visits the
 masks in `preorder`, the order of their sorted index tuples, in which
-`cp` and `sep` print them, and `index_paths` names them in that order.
+`cp` and `sep` print them.
 `cp3_totals` adds each mask's kept bitset into bit-sliced counters, one
 bitset per binary digit of the counts, so that only those at most n
 digits, not the 2**n - 1 masks, are spread into one byte per index and
@@ -159,22 +159,6 @@ def preorder(arity):
             mask ^= 1 << top - 1
             if mask:
                 mask += 1 << mask.bit_length() - 1
-
-
-def index_paths(items, join, root):
-    """Yield (mask, path) for every nonempty mask below 2**len(items), in
-    `preorder`: a mask's path is join(its parent's path, items[p]) for
-    its highest position p, the empty mask's is `root`. A mask's parent,
-    the mask without its highest position, is the last one visited with
-    one position fewer, so each path costs one join. With items {1},
-    {2}, ... and `|` the paths are the masks' index sets
-    (`indices_of_mask`); with items ",1", ",2", ... and `+` they are the
-    indices in increasing order as text, each after a comma."""
-    path = [root] * (len(items) + 1)  # the path at each depth
-    for m in preorder(len(items)):
-        depth = m.bit_count()
-        path[depth] = joined = join(path[depth - 1], items[m.bit_length() - 1])
-        yield m, joined
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # bit characters to bytes

@@ -65,11 +65,15 @@ class Constant:
 @record
 class Apply:
     """An application. Its equality, hash and repr answer as the record's
-    do, but each walks the term on an explicit stack, so that a term of
-    any depth compares, hashes and prints."""
+    do, read off the walks of `nodes` and `print_term`, so that a term of
+    any depth compares, hashes and prints. It takes no subclass: the walks
+    open `type(node) is Apply` only, and would read one as a leaf."""
 
     symbol: str
     children: tuple
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("Apply takes no subclass: the term walks open Apply itself only")
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
@@ -77,71 +81,39 @@ class Apply:
     def __eq__(self, other):
         if type(other) is not Apply:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a.symbol != b.symbol or len(a.children) != len(b.children):
-                return False
-            for x, y in zip(a.children, b.children):
-                if type(x) is Apply is type(y):
-                    if x is not y:
-                        pairs.append((x, y))
-                elif x is not y and x != y:
+        if other is self:
+            return True
+        # level order with each application's child count fixes the tree
+        for a, b in zip(nodes(self), nodes(other)):
+            if type(a) is not Apply:
+                if a is not b and a != b:
                     return False
+            elif type(b) is not Apply or a.symbol != b.symbol or len(a.children) != len(b.children):
+                return False
         return True
 
     def __hash__(self):
-        # hash((symbol, children)), an application child standing in by
-        # its hash, worked out before its parent's
-        stack = [(self, [])]  # open applications: (node, its children done)
-        while True:
-            node, done = stack[-1]
-            if len(done) < len(node.children):
-                child = node.children[len(done)]
-                if type(child) is Apply:
-                    stack.append((child, []))
-                else:
-                    done.append(child)
-                continue
-            stack.pop()
-            value = hash((node.symbol, tuple(done)))
-            if not stack:
-                return value
-            stack[-1][1].append(_Hashed(value))
+        # hash((symbol, children)) from the leaves up, which reversed level
+        # order visits first; an application child stands in by its hash
+        hashes = {}
+        for node in reversed(nodes(self)):
+            if type(node) is Apply:
+                children = tuple(map(hashes.get, map(id, node.children), node.children))
+                hashes[id(node)] = _Hashed(hash((node.symbol, children)))
+        return hashes[id(self)]
 
     def __repr__(self):
-        out = [f"Apply(symbol={self.symbol!r}, children=("]
-        stack = [(self.children, 0)]  # open tuples: (children, next to print)
-        while stack:
-            children, i = stack.pop()
-            if i == len(children):
-                out.append(",))" if i == 1 else "))")
-                continue
-            if i:
-                out.append(", ")
-            stack.append((children, i + 1))
-            child = children[i]
-            if type(child) is Apply:
-                out.append(f"Apply(symbol={child.symbol!r}, children=(")
-                stack.append((child.children, 0))
-            else:
-                out.append(repr(child))
-        return "".join(out)
+        return _emit(self, False)
 
 
-class _Hashed:
-    """Hashes as the hash it holds."""
+class _Hashed(int):
+    """Hashes as the hash it holds, which hash() returns unchanged."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
+    __hash__ = int.__index__  # the value held, as a plain int
 
 
 Term = Union[Variable, Constant, Apply]
+_END_ONE, _END = object(), object()  # where `_emit` ends an application of one child, or another
 
 
 def _signature_of(sig) -> Mapping[str, int]:
@@ -296,26 +268,43 @@ def _term_error(text: str, words: list, i: int, sig, inside: bool):
 
 
 def print_term(term: Term) -> str:
-    """Canonical text for an AST; inverse of `parse`. The nodes, and the
-    commas and closing parentheses still to write, wait on an explicit
-    stack, so that a term of any depth prints."""
+    """Canonical text for an AST; inverse of `parse`."""
+    return _emit(term, True)
+
+
+def _emit(term: Term, plain: bool) -> str:
+    """The text of a term: `print_term`'s if plain, else the record repr
+    of its applications. The nodes, and each application's end behind its
+    children, wait on an explicit stack, so that any depth prints; each
+    text is followed by the separator, which an end overwrites."""
+    head, symbol, opening, sep, end, end_one, variable, constant = (
+        ("", str, "(", ",", ")", ")", Variable, Constant) if plain  # else leaves print by repr
+        else ("Apply(symbol=", repr, ", children=(", ", ", "))", ",))", (), ())
+    )
     out, stack = [], [term]
     while stack:
         node = stack.pop()
-        if type(node) is str:
-            out.append(node)
-        elif isinstance(node, Variable):
-            out.append(f"x{node.index}")
-        elif isinstance(node, Constant):
-            out.append(f"#{node.value}")
-        else:
-            out.append(f"{node.symbol}(")
+        if type(node) is Apply:
+            out.append(f"{head}{symbol(node.symbol)}{opening}")
             children = node.children
-            stack.append(")")
-            for c in children[:0:-1]:
-                stack += (c, ",")
             if children:
-                stack.append(children[0])
+                stack.append(_END_ONE if len(children) == 1 else _END)
+                stack += children[::-1]
+            else:
+                out += (end, sep)
+        elif node is _END:
+            out[-1] = end
+            out.append(sep)
+        elif node is _END_ONE:
+            out[-1] = end_one
+            out.append(sep)
+        elif isinstance(node, variable):
+            out += (f"x{node.index}", sep)
+        elif isinstance(node, constant):
+            out += (f"#{node.value}", sep)
+        else:
+            out += (repr(node), sep)
+    out.pop()
     return "".join(out)
 
 

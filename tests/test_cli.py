@@ -257,9 +257,10 @@ class TestSep:
         assert code == 0
         assert "is separable" in out
 
-    @pytest.mark.parametrize("chunk", ["x\u00b2", "\u00b2", "1,\u2463"])
+    @pytest.mark.parametrize("chunk", ["x\u00b2", "\u00b2", "1,\u2463", "xx1,x2"])
     def test_non_decimal_digit_is_usage_error(self, capsys, bu_path, chunk):
-        # isdigit() accepts superscripts and circled digits, which int() rejects
+        # isdigit() accepts superscripts and circled digits, which int()
+        # rejects; and an index takes one x at most, as in terms
         code, out, err = run(capsys, "sep", bu_path, "+(x1,x2)", "--set", chunk)
         assert (code, out) == (2, "")
         assert err == f"usage error: bad variable list {chunk!r}; expected e.g. 1,3 or x1,x3\n"
@@ -442,10 +443,10 @@ class TestCensusAndClone:
             "bool2": catalog.bool2(),
             "chain3": catalog.chain3(),
             # a name and symbols that json must escape: quote, backslash,
-            # newline, non-ASCII
-            "odd": renamed('odd "\\ name\n\u00e9', ('"+"', "*\\", "\u00ac")),
+            # newline (in the name; no term names such a symbol), non-ASCII
+            "odd": renamed('odd "\\ name\n\u00e9', ('"', "\\", "\u00ac")),
             # and ones that %-formatting would read
-            "percent": renamed("%s %d %% name", ("%s", "*%d", "%%")),
+            "percent": renamed("%s %d %% name", ("%", "*", "neg")),
             # 17**2 operation-table indices: the closure's lanes are 2 bytes
             "z17": algebra.FiniteAlgebra(
                 "z17",

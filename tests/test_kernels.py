@@ -3,11 +3,11 @@
 import json
 import random
 from itertools import product
-from operator import add, or_
 
 import pytest
 
 from termalg import (
+    ComplexityReport,
     Operation,
     catalog,
     cli,
@@ -491,12 +491,14 @@ def test_preorder_is_the_order_of_sorted_indices():
         assert sorted(masks) == list(range(1, 1 << n))
         sets = [kernels.indices_of_mask(m) for m in masks]
         assert sets == in_sorted_order(sets)
-        # index_paths joins each mask's path from its parent's
-        singletons = [frozenset({i}) for i in range(1, n + 1)]
-        assert list(kernels.index_paths(singletons, or_, frozenset())) == list(zip(masks, sets))
-        items = [f",{i}" for i in range(1, n + 1)]
-        texts = ["".join(f",{i}" for i in sorted(s)) for s in sets]
-        assert list(kernels.index_paths(items, add, "")) == list(zip(masks, texts))
+        # a report reads its counts by mask in that order, each count here
+        # its own mask, and names each set from its parent's
+        report = ComplexityReport.from_counts(list(range(1 << n)), n)
+        assert report.sorted_items() == list(zip(sets, masks))
+        texts = [",".join(str(i) for i in sorted(s)) for s in sets]
+        assert list(report.set_texts()) == list(zip(texts, masks))
+        texts = [" ".join(f"x{i}" for i in sorted(s)) for s in sets]
+        assert list(report.set_texts(" ", "x")) == list(zip(texts, masks))
 
 
 def test_sep_sets_and_cp_per_set_in_sorted_order(tmp_path, capsys):

@@ -88,8 +88,22 @@ CASES = [
         ("n2", 1, 4, 6, {2: 2, 1: 2}),
         "AlgebraCensus(algebra='n2', n=1, clone_size=4, total=6, histogram={2: 2, 1: 2})",
     ),
+    # applications of no child, of one (each end written ",))"), and of a
+    # child that is no term
+    (Apply, ("f", []), {"symbol": "f", "children": ()}, ("f", ()), "Apply(symbol='f', children=())"),
+    (
+        Apply,
+        ("neg", [Apply("neg", [Constant(0)])]),
+        {"symbol": "neg", "children": (Apply("neg", (Constant(0),)),)},
+        ("neg", (Apply("neg", (Constant(0),)),)),
+        "Apply(symbol='neg', children=(Apply(symbol='neg', children=(Constant(value=0),)),))",
+    ),
+    (Apply, ("f", [5]), {"symbol": "f", "children": (5,)}, ("f", (5,)), "Apply(symbol='f', children=(5,))"),
 ]
-IDS = [case[0].__name__ for case in CASES]
+# a class names its first case; a further case is named by its repr
+IDS = []
+for cls, *_, text in CASES:
+    IDS.append(text if cls.__name__ in IDS else cls.__name__)
 
 
 def fields_of(record):

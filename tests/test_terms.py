@@ -14,6 +14,8 @@ from termalg import (
     TermError,
     Variable,
     apply_evaluation,
+    catalog,
+    clone_level,
     cp1,
     cp2,
     ess_via_lemma35,
@@ -218,6 +220,17 @@ class TestPrint:
         assert print_term(Apply("f", ())) == "f()"
         assert print_term(Apply("g", (Apply("f", ()), Variable(2)))) == "g(f(),x2)"
 
+    def test_subclasses_of_leaves_print_as_their_base(self):
+        # a leaf prints by its base class's text, and repr() by its own
+        var, const = type("Var", (Variable,), {})(1), type("Const", (Constant,), {})(0)
+        term = Apply("+", (var, Apply("neg", (const,))))
+        assert print_term(term) == "+(x1,neg(#0))"
+        assert repr(term) == "Apply(symbol='+', children=(Var(index=1), Apply(symbol='neg', children=(Const(value=0),))))"
+
+    def test_apply_takes_no_subclass(self):
+        with pytest.raises(TypeError, match="no subclass"):
+            type("App", (Apply,), {})
+
     def test_deep_nesting_prints_without_recursion(self):
         text = "+(" * 50_000 + "x1" + ",neg(#1))" * 50_000
         assert print_term(parse(text, SIG)) == text
@@ -358,6 +371,25 @@ class TestWalks:
         inner = repr(parse("+(x1,*(x2,#0))", SIG))
         outer = "Apply(symbol='+', children=("
         assert repr(deep) == outer * self.DEPTH + inner + ", Constant(value=0)))" * self.DEPTH
+
+    def test_equality_reads_child_counts(self):
+        # the same symbols and leaves in level order; only the child counts
+        # of g and h differ
+        a = parse("f(g(x1),h(x2,x3))", {"f": 2, "g": 1, "h": 2})
+        b = parse("f(g(x1,x2),h(x3))", {"f": 2, "g": 2, "h": 1})
+        assert [getattr(t, "symbol", t) for t in nodes(a)] == [getattr(t, "symbol", t) for t in nodes(b)]
+        assert a != b and b != a and not a == b
+
+    def test_shared_subterms_compare_and_hash_as_copies(self):
+        # the clone's witnesses share their arguments' terms; each copy is
+        # rebuilt node by node, and shares no application
+        witnesses = clone_level(catalog.bool2(), 3).witnesses
+        children = [id(c) for w in witnesses if type(w) is Apply for c in w.children]
+        assert len(set(children)) < len(children)
+        copies = [apply_evaluation(w, {}) for w in witnesses]
+        for w, c in zip(witnesses, copies):
+            assert w == c and c == w and hash(w) == hash(c) and repr(w) == repr(c)
+        assert len(set(witnesses) | set(copies)) == len(witnesses)
 
     def test_tabulation(self, bu, deep):
         assert induced_operation(deep, bu, 2).values == (0, 0, 1, 1)
